@@ -6,13 +6,12 @@ property rather than a promise.  See the README for the CLI and the
 benchmark harness.
 """
 
-from .bench import (AuditReport, BenchInput, BenchSpec, RatioOracle,
-                    audit_pipeline, audit_refine, bench_csv, run_bench,
-                    spectra, spectra_csv)
+from .bench import (AuditReport, BenchInput, BenchSpec, audit_pipeline,
+                    audit_refine, bench_csv, run_bench, spectra, spectra_csv)
 from .core import (CountingAccessor, DimensionError, ErrorRatio, Factored2,
-                   Factored3, PreconditionError, TopSVD, as_dense, lra_sum,
-                   materialize, matrix_norm, relative_error_ratio,
-                   truncate_svd)
+                   Factored3, PreconditionError, RatioOracle, TopSVD,
+                   as_dense, lra_sum, materialize, matrix_norm,
+                   relative_error_ratio, truncate_svd)
 from .cur import (CURDecomp, SingularNucleusError, nucleus_norm_bound,
                   rr_select, svd_to_cur)
 from .errest import (ErrorEstimate, entry_lower_bound,

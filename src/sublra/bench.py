@@ -2,10 +2,13 @@
 
 ``run_bench`` replays the synthetic-input experiment: for each (input,
 multiplier) pair it runs the refinement a number of independent trials and
-averages the per-iteration error ratios before and after truncation.  Ratio
-denominators come from one cached full SVD per input; that oracle work reads
-the raw matrix directly and is excluded from the access counters, which only
-ever see the sketch applications.
+averages the per-iteration error ratios before and after truncation.  Ratios
+come from one ``core.RatioOracle`` per input (re-exported here): its
+denominator sigma_{rho+1} is one cached full SVD of the input, and each
+numerator ||M - L||_2 is the top singular value of the dense difference,
+found by Lanczos (``svds`` with k=1) rather than a full SVD.  That oracle
+work reads the raw matrix directly and is excluded from the access counters,
+which only ever see the sketch applications.
 
 ``audit_pipeline`` demonstrates the structural limit of superfast
 approximation: any pipeline that skips an entry (i, j) returns identical
@@ -22,7 +25,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as la
 
-from .core import CountingAccessor, Factored2, materialize, truncate_svd
+from .core import (CountingAccessor, Factored2, RatioOracle, materialize,
+                   truncate_svd)
 from .cur import nucleus_norm_bound, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
 from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
@@ -30,28 +34,6 @@ from .refine import RefineConfig, refine
 from .topsvd import topsvd_of_lra
 
 BENCH_SCHEMA = "sublra-bench-v1"
-
-
-class RatioOracle:
-    """Cached Eq-style error-ratio evaluator against a fixed input matrix.
-
-    The denominator ||M - M_rho||_2 = sigma_{rho+1} is computed once by full
-    SVD.  Calls take a factored iterate and return the spectral-error ratio;
-    they read the raw matrix, never an accessor.
-    """
-
-    def __init__(self, M, rho):
-        self.M = M
-        s = la.svdvals(M)
-        self.sigma = s
-        self.rho = rho
-        tau = float(s[rho]) if rho < min(M.shape) else 0.0
-        self.degenerate = tau < 1e-14 * float(s[0])
-        self.tau = tau
-
-    def __call__(self, L):
-        err = float(la.svdvals(self.M - materialize(L))[0])
-        return err if self.degenerate else err / self.tau
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Dense matrices, factored low-rank representations, norms, exact truncation.
+"""Dense matrices, factored low-rank forms, norms, truncation, error ratios.
 
 All matrices are real double precision 2-D numpy arrays.  Factored forms hold
 their factors unmaterialized; ``materialize`` turns any of them back into a
@@ -12,6 +12,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 import scipy.linalg as la
+from scipy.sparse.linalg import svds
 
 
 class DimensionError(ValueError):
@@ -276,21 +277,62 @@ class ErrorRatio(NamedTuple):
     degenerate: bool
 
 
+def _spectral_norm(D):
+    """Largest singular value of a dense matrix, by Lanczos.
+
+    ARPACK starts from a fixed seeded vector, so repeated calls on the same
+    matrix return the same bits.  An all-zero matrix (where ARPACK cannot
+    start) and a single row or column (where svds has no k=1 case) are
+    answered directly.
+    """
+    if min(D.shape) == 1:
+        return float(np.linalg.norm(D))
+    if not D.any():
+        return 0.0
+    v0 = np.random.default_rng(0).standard_normal(min(D.shape))
+    return float(svds(D, k=1, tol=0, v0=v0,
+                      return_singular_vectors=False)[0])
+
+
+class RatioOracle:
+    """Spectral-error ratio ||M - L||_2 / ||M - M_rho||_2 against a fixed M.
+
+    The denominator sigma_{rho+1}(M) comes from one full SVD of M when the
+    oracle is built.  Each call forms the dense difference M - L once and
+    takes its top singular value by Lanczos (``svds`` with k=1, tol=0),
+    which agrees with a full SVD of the difference to rounding.  When M has
+    numerical rank <= rho (sigma_{rho+1} < DEGENERATE_GAP sigma_1) the ratio
+    is undefined: ``degenerate`` is True and calls return the absolute
+    spectral error.  Calls read the raw matrix, never an accessor.
+    """
+
+    def __init__(self, M, rho):
+        M = as_dense(M)
+        if not 1 <= rho <= min(M.shape):
+            raise DimensionError(f"rho={rho} out of range for shape {M.shape}")
+        self.M = M
+        self.rho = rho
+        self.sigma = la.svdvals(M)
+        self.tau = float(self.sigma[rho]) if rho < min(M.shape) else 0.0
+        self.degenerate = self.tau < DEGENERATE_GAP * float(self.sigma[0])
+
+    def __call__(self, approx):
+        """Ratio for ``approx`` (dense or any factored form)."""
+        At = materialize(approx)
+        if At.shape != self.M.shape:
+            raise DimensionError(
+                f"approx shape {At.shape} != input shape {self.M.shape}")
+        err = _spectral_norm(self.M - At)
+        return err if self.degenerate else err / self.tau
+
+
 def relative_error_ratio(M, approx, rho):
     """||M - approx||_2 / ||M - M_rho||_2, the error ratio of an LRA.
 
     A ratio of 1.0 means the approximation is as good as the optimal
     rank-rho truncation.  ``approx`` may be dense or any factored form.
+    A one-off ``RatioOracle``; build the oracle itself to score several
+    approximations of one M.
     """
-    M = as_dense(M)
-    if not 1 <= rho <= min(M.shape):
-        raise DimensionError(f"rho={rho} out of range for shape {M.shape}")
-    At = materialize(approx)
-    if At.shape != M.shape:
-        raise DimensionError(f"approx shape {At.shape} != input shape {M.shape}")
-    s = la.svdvals(M)
-    numerator = float(la.svdvals(M - At)[0])
-    tau = float(s[rho]) if rho < min(M.shape) else 0.0
-    if tau < DEGENERATE_GAP * float(s[0]):
-        return ErrorRatio(numerator, True)
-    return ErrorRatio(numerator / tau, False)
+    oracle = RatioOracle(M, rho)
+    return ErrorRatio(oracle(approx), oracle.degenerate)

@@ -207,9 +207,10 @@ def refine(M, config, evaluator=None):
     """Iteratively refine a low-rank approximation of M through sketches.
 
     M is a CountingAccessor; all raw reads happen inside the sketch
-    applications, which the driver asserts.  ``evaluator``, when given, is
-    called with each pre-truncation and post-truncation iterate to fill the
-    report's error ratios; it must not read through the accessor.
+    applications, which the driver checks in every iteration.  ``evaluator``,
+    when given, is called with each pre-truncation and post-truncation
+    iterate to fill the report's error ratios; it must not read through the
+    accessor, and a read raises RuntimeError.
 
     Returns (approximation, report).  A residual-stop run that exhausts
     max_iters reports status "failure" but still returns its best iterate.
@@ -257,8 +258,10 @@ def refine(M, config, evaluator=None):
             ratio_after = ratio_before
         probe = residual_probe(approx, truncated, config.probes,
                                seed=int(seeds[i][0] ^ seeds[i][1]))
-        assert M.total_reads == reads_after_sketch, \
-            "driver read the input outside sketch application"
+        if M.total_reads != reads_after_sketch:
+            raise RuntimeError(
+                f"input read outside sketch application in iteration {i}: "
+                f"{M.total_reads - reads_after_sketch} entries")
 
         approx = truncated
         report.records.append(IterationRecord(

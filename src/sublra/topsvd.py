@@ -32,6 +32,19 @@ def _check_ranks(L, rho):
             f"rank bound {k} exceeds min(m, n) = {min(m, n)}")
 
 
+def _svd(a, full_matrices=True):
+    """SVD by LAPACK gesdd, retried with gesvd when gesdd does not converge.
+
+    gesdd fails on some matrices whose singular values cluster (seen on a
+    60-by-60 core of a refine iterate with 20 of them at 1.0); gesvd
+    factors those.  Whatever gesdd factors keeps its exact output.
+    """
+    try:
+        return la.svd(a, full_matrices=full_matrices)
+    except la.LinAlgError:
+        return la.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
+
+
 def topsvd_of_lra(L, rho):
     """Exact rho-top SVD of A @ B.
 
@@ -40,10 +53,10 @@ def topsvd_of_lra(L, rho):
     core's SVD is then composed into the output.
     """
     _check_ranks(L, rho)
-    Ua, sa, Vat = la.svd(L.A, full_matrices=False)
-    Ub, sb, Vbt = la.svd(L.B, full_matrices=False)
+    Ua, sa, Vat = _svd(L.A, full_matrices=False)
+    Ub, sb, Vbt = _svd(L.B, full_matrices=False)
     W = (sa[:, None] * Vat) @ (Ub * sb[None, :])
-    Uw, sw, Vwt = la.svd(W)
+    Uw, sw, Vwt = _svd(W)
     U = Ua @ Uw[:, :rho]
     V = Vbt.T @ Vwt.T[:, :rho]
     return TopSVD(U, sw[:rho], V)

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg as la
 
 from sublra import (CountingAccessor, DimensionError, Factored2, Factored3,
-                    PreconditionError, TopSVD, as_dense, lra_sum, materialize,
-                    matrix_norm, relative_error_ratio, truncate_svd)
-from sublra.matgen import fast_decay_spectrum, gen_synthetic
+                    PreconditionError, RatioOracle, RefineConfig, TopSVD,
+                    as_dense, lra_sum, materialize, matrix_norm, refine,
+                    relative_error_ratio, truncate_svd)
+from sublra.matgen import (fast_decay_spectrum, gen_synthetic,
+                           slow_decay_spectrum)
 
 
 def test_as_dense_rejects_bad_input():
@@ -139,6 +141,59 @@ def test_relative_error_ratio_degenerate_flag():
     r = relative_error_ratio(M, np.zeros_like(M), 3)
     assert r.degenerate
     assert r.value == pytest.approx(la.svd(M, compute_uv=False)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("spectrum", [fast_decay_spectrum,
+                                      slow_decay_spectrum])
+@pytest.mark.parametrize("multiplier", ["ahad", "gaussian"])
+def test_ratio_oracle_agrees_with_full_svd(spectrum, multiplier):
+    n, rho = 256, 20
+    M = gen_synthetic(n, spectrum(n), seed=31)
+    oracle = RatioOracle(M, rho)
+    ratios = []
+
+    def checked(L):
+        ratio = oracle(L)
+        dense = la.svdvals(M - materialize(L))[0] / oracle.tau
+        assert ratio == pytest.approx(dense, rel=1e-12, abs=0)
+        ratios.append(ratio)
+        return ratio
+
+    refine(CountingAccessor(M),
+           RefineConfig(rho=rho, max_iters=3, multiplier=multiplier, seed=7),
+           evaluator=checked)
+    # iteration 0 ends at rank rho, so only its pre-truncation iterate is
+    # scored; the later two score both
+    assert len(ratios) == 5
+    if spectrum is fast_decay_spectrum:
+        # pre-truncation iterates past the first are exact to ~1e-11
+        assert min(ratios) < 1e-9
+
+
+def test_ratio_oracle_exact_difference_is_zero():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((40, 5))
+    B = rng.standard_normal((5, 30))
+    oracle = RatioOracle(A @ B, 4)
+    assert oracle(Factored2(A, B)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
+def test_ratio_oracle_single_row_or_column(shape):
+    M = np.arange(1.0, 10.0).reshape(shape)
+    r = relative_error_ratio(M, np.zeros(shape), 1)
+    assert r.degenerate
+    assert r.value == pytest.approx(np.linalg.norm(M), rel=1e-15)
+
+
+def test_ratio_oracle_repeatable():
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=9)
+    rng = np.random.default_rng(4)
+    L = Factored2(rng.standard_normal((128, 20)),
+                  rng.standard_normal((20, 128)))
+    oracle = RatioOracle(M, 20)
+    assert oracle(L) == oracle(L)
+    assert RatioOracle(M, 20)(L) == oracle(L)
 
 
 def test_eckart_young_optimality():

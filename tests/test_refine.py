@@ -142,6 +142,19 @@ def test_refine_driver_reads_only_in_sketches():
     assert acc_eval.distinct_accessed == acc_plain.distinct_accessed
 
 
+def test_refine_rejects_evaluator_reading_the_accessor():
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=53)
+    acc = CountingAccessor(M)
+
+    def peeking_evaluator(L):
+        acc.read_rows([0])
+        return 0.0
+
+    with pytest.raises(RuntimeError, match="outside sketch application"):
+        refine(acc, RefineConfig(rho=4, max_iters=2, seed=21),
+               evaluator=peeking_evaluator)
+
+
 def test_refine_access_bound_formula():
     n, rho, iters, depth = 2048, 8, 3, 3
     M = np.random.default_rng(1).standard_normal((n, n))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -25,6 +27,19 @@ def test_diagonal_core():
     B[:, :k] = np.diag(diag)
     S = topsvd_of_lra(Factored2(A, B), 3)
     assert np.allclose(S.sigma, [7.0, 4.0, 3.0])
+
+
+def test_gesdd_nonconvergent_input():
+    # a 60-by-60 core captured from a refine iterate (n=1024, rho=20, fast
+    # decay: 20 singular values at 1.0) on which LAPACK gesdd fails
+    W = np.load(Path(__file__).parent / "data" / "gesdd_nonconvergent_core.npy")
+    s = la.svd(W, compute_uv=False, lapack_driver="gesvd")
+    rho = 25
+    for L in (Factored2(W, np.eye(60)), Factored2(np.eye(60), W)):
+        S = topsvd_of_lra(L, rho)
+        assert np.abs(S.sigma - s[:rho]).max() <= 1e-12
+        err = la.svd(W - materialize(S), compute_uv=False)[0]
+        assert err == pytest.approx(s[rho], rel=1e-6)
 
 
 def test_matches_full_svd_oracle():
