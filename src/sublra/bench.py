@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .core import (CountingAccessor, Factored2, RatioOracle, materialize,
-                   truncate_svd)
+                   spectral_norm, truncate_svd)
 from .cur import nucleus_norm_bound, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
 from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
@@ -224,8 +224,8 @@ def audit_pipeline(m, n, run, pipeline="custom"):
     delta = gen_delta(m, n, i + 1, j + 1)
     out_delta = np.asarray(run(CountingAccessor(delta)), dtype=np.float64)
     distance = float(np.linalg.norm(out_zero - out_delta))
-    err_zero = float(la.svdvals(out_zero)[0])
-    err_delta = float(la.svdvals(delta - out_delta)[0])
+    err_zero = spectral_norm(out_zero)
+    err_delta = spectral_norm(delta - out_delta)
     return AuditReport(rows=m, cols=n, pipeline=pipeline, superfast=True,
                        accessed=zero_acc.distinct_accessed, witness=witness,
                        output_distance=distance,

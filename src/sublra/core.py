@@ -4,7 +4,9 @@ All matrices are real double precision 2-D numpy arrays.  Factored forms hold
 their factors unmaterialized; ``materialize`` turns any of them back into a
 dense array.  ``CountingAccessor`` wraps a dense matrix and records every
 entry read through it, which is how the sublinear-access claims of the
-sketching pipeline are measured rather than trusted.
+sketching pipeline are measured rather than trusted.  It records reads in a
+sparse ledger (a row set, a column set and a list of sampled entries) of
+O(m + n + sampled entries) memory, so counting costs no m-by-n mask.
 """
 
 from dataclasses import dataclass
@@ -23,18 +25,25 @@ class PreconditionError(ValueError):
     """An argument violates a documented precondition."""
 
 
+FINITE_CHECK_BLOCK = 1 << 18  # entries per row block of the finiteness scan
+
+
 def as_dense(a):
     """Validate and return a matrix as a C-contiguous float64 2-D array.
 
-    Rejects empty matrices and non-finite entries.
+    Rejects empty matrices and non-finite entries.  The finiteness scan runs
+    over row blocks of about FINITE_CHECK_BLOCK entries, so it needs no
+    temporary the size of the matrix.
     """
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise DimensionError("empty matrix rejected")
-    if not np.isfinite(m).all():
-        raise PreconditionError("matrix entries must be finite")
+    step = max(1, FINITE_CHECK_BLOCK // m.shape[1])
+    for start in range(0, m.shape[0], step):
+        if not np.isfinite(m[start:start + step]).all():
+            raise PreconditionError("matrix entries must be finite")
     return m
 
 
@@ -44,12 +53,23 @@ class CountingAccessor:
     Every read through the accessor marks the touched (row, col) pairs and
     increments ``total_reads`` by the number of entries delivered (repeats
     included).  ``distinct_accessed`` is the size of the accessed set.
+
+    The accessed set is kept as a sparse ledger, not as an m-by-n mask: a
+    row set (``read_rows``, ``read_full``), a column set (``read_cols``) and
+    a list of flat entry indices (``read_at``, ``read_submatrix``).  The
+    ledger takes O(m + n + sampled entries) memory, and the exact count is
+    |R| n + |C| m - |R||C| plus the distinct listed entries outside the
+    marked rows and columns.  ``accessed`` builds the dense mask on request,
+    for tests and audits of small inputs.
     Single-writer: one accessor must not be shared by concurrent readers.
     """
 
     def __init__(self, target):
         self.target = as_dense(target)
-        self._mask = np.zeros(self.target.shape, dtype=bool)
+        m, n = self.target.shape
+        self._row_read = np.zeros(m, dtype=bool)
+        self._col_read = np.zeros(n, dtype=bool)
+        self._entries = [np.empty(0, dtype=np.intp)]
         self.total_reads = 0
 
     @property
@@ -64,37 +84,58 @@ class CountingAccessor:
     def cols(self):
         return self.target.shape[1]
 
+    def _listed(self):
+        """Sorted distinct listed entries outside the marked rows and columns.
+
+        Rows and columns are only ever added to the ledger, so entries they
+        cover are dropped from the list for good.
+        """
+        flat = np.unique(np.concatenate(self._entries))
+        i, j = np.divmod(flat, self.cols)
+        flat = flat[~(self._row_read[i] | self._col_read[j])]
+        self._entries = [flat]
+        return flat
+
     @property
     def accessed(self):
-        """Boolean mask of the accessed (row, col) set."""
-        return self._mask
+        """Boolean mask of the accessed (row, col) set, built on request."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self._row_read, :] = True
+        mask[:, self._col_read] = True
+        mask.ravel()[self._listed()] = True
+        return mask
 
     @property
     def distinct_accessed(self):
-        return int(self._mask.sum())
+        m, n = self.shape
+        r = int(np.count_nonzero(self._row_read))
+        c = int(np.count_nonzero(self._col_read))
+        return r * n + c * m - r * c + int(self._listed().size)
 
-    def read_entry(self, i, j):
-        self._mask[i, j] = True
-        self.total_reads += 1
-        return self.target[i, j]
+    def _list(self, rows, cols):
+        # the caller has already indexed the target, so every index is in
+        # range and negative ones only need wrapping
+        self._entries.append(np.ravel_multi_index(
+            (rows, cols), self.shape, mode="wrap").ravel())
 
     def read_at(self, rows, cols):
         """Gather entries at paired (rows[t], cols[t]) positions."""
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        self._mask[rows, cols] = True
+        values = self.target[rows, cols]
+        self._list(rows, cols)
         self.total_reads += rows.size
-        return self.target[rows, cols]
+        return values
 
     def read_rows(self, rows):
         rows = np.asarray(rows)
-        self._mask[rows, :] = True
+        self._row_read[rows] = True
         self.total_reads += rows.size * self.cols
         return self.target[rows, :]
 
     def read_cols(self, cols):
         cols = np.asarray(cols)
-        self._mask[:, cols] = True
+        self._col_read[cols] = True
         self.total_reads += cols.size * self.rows
         return self.target[:, cols]
 
@@ -102,22 +143,37 @@ class CountingAccessor:
         """Cross product block: all (i, j) with i in rows, j in cols."""
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        self._mask[np.ix_(rows, cols)] = True
+        values = self.target[np.ix_(rows, cols)]
+        self._list(*np.ix_(rows, cols))
         self.total_reads += rows.size * cols.size
-        return self.target[np.ix_(rows, cols)]
+        return values
 
     def read_full(self):
-        self._mask[:, :] = True
+        self._row_read[:] = True
         self.total_reads += self.target.size
         return self.target
 
     def first_unaccessed(self):
-        """Smallest row-major (i, j) never read, or None if all were read."""
-        flat = np.flatnonzero(~self._mask.ravel())
-        if flat.size == 0:
+        """Smallest row-major (i, j) never read, or None if all were read.
+
+        Walks the unread rows in order; a row's first unread column is the
+        first unmarked column that no listed entry of the row covers.
+        """
+        free_cols = np.flatnonzero(~self._col_read)
+        if free_cols.size == 0:
             return None
-        i, j = divmod(int(flat[0]), self.cols)
-        return i, j
+        n = self.cols
+        listed = self._listed()
+        for i in np.flatnonzero(~self._row_read):
+            lo, hi = np.searchsorted(listed, [i * n, (i + 1) * n])
+            taken = listed[lo:hi] - i * n
+            if taken.size < free_cols.size:
+                # taken is a sorted subset of free_cols: the first free
+                # column is where the two sequences part
+                gap = np.flatnonzero(free_cols[:taken.size] != taken)
+                j = free_cols[gap[0] if gap.size else taken.size]
+                return int(i), int(j)
+        return None
 
 
 @dataclass
@@ -277,7 +333,7 @@ class ErrorRatio(NamedTuple):
     degenerate: bool
 
 
-def _spectral_norm(D):
+def spectral_norm(D):
     """Largest singular value of a dense matrix, by Lanczos.
 
     ARPACK starts from a fixed seeded vector, so repeated calls on the same
@@ -322,7 +378,7 @@ class RatioOracle:
         if At.shape != self.M.shape:
             raise DimensionError(
                 f"approx shape {At.shape} != input shape {self.M.shape}")
-        err = _spectral_norm(self.M - At)
+        err = spectral_norm(self.M - At)
         return err if self.degenerate else err / self.tau
 
 

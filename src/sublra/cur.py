@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .core import DimensionError, PreconditionError, TopSVD, materialize
+from .core import (DimensionError, PreconditionError, TopSVD, materialize,
+                   spectral_norm)
 
 SIGMA_FLOOR = 1e-14
 
@@ -103,8 +104,8 @@ def svd_to_cur(S, k=None, l=None):
 
 
 def reconstruction_error(S, decomp, kind="frobenius"):
-    """Norm of U Sigma V^T - C N R, for reporting."""
+    """Norm of U Sigma V^T - C N R, for reporting; spectral by Lanczos."""
     diff = materialize(S) - decomp.materialize()
     if kind == "frobenius":
         return float(np.linalg.norm(diff))
-    return float(la.svdvals(diff)[0])
+    return spectral_norm(diff)

@@ -150,13 +150,20 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
                           positions=positions, values=values, pool=pool)
 
 
-def _apply_wide(op, X):
-    """Wide-form product W @ X for a dense X with op.dim rows."""
+def _apply_wide(op, X, positions=None):
+    """Wide-form product W @ X for a dense X with op.dim rows.
+
+    For an abridged operator, ``positions`` may index the rows of a gathered
+    block X in place of ``op.positions``, which index the rows of the full
+    target.
+    """
     if op.kind == "gaussian":
         return op.dense @ X
+    if positions is None:
+        positions = op.positions
     out = np.zeros((op.sketch_size, X.shape[1]))
-    for t in range(op.positions.shape[1]):
-        out += op.values[:, t:t + 1] * X[op.positions[:, t], :]
+    for t in range(positions.shape[1]):
+        out += op.values[:, t:t + 1] * X[positions[:, t], :]
     return out
 
 
@@ -191,12 +198,8 @@ def apply_left(F, M):
     if F.kind == "gaussian":
         return F.dense @ M.read_full()
     unique = np.unique(F.positions)
-    block = M.read_rows(unique)
-    out = np.zeros((F.sketch_size, M.cols))
-    idx = np.searchsorted(unique, F.positions)
-    for t in range(F.positions.shape[1]):
-        out += F.values[:, t:t + 1] * block[idx[:, t], :]
-    return out
+    return _apply_wide(F, M.read_rows(unique),
+                       np.searchsorted(unique, F.positions))
 
 
 def apply_right(M, H):
@@ -210,12 +213,8 @@ def apply_right(M, H):
     if H.kind == "gaussian":
         return M.read_full() @ H.dense.T
     unique = np.unique(H.positions)
-    block = M.read_cols(unique)
-    out = np.zeros((M.rows, H.sketch_size))
-    idx = np.searchsorted(unique, H.positions)
-    for t in range(H.positions.shape[1]):
-        out += block[:, idx[:, t]] * H.values[:, t][None, :]
-    return out
+    return _apply_wide(H, M.read_cols(unique).T,
+                       np.searchsorted(unique, H.positions)).T
 
 
 def apply_to_factored(op, L):

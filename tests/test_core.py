@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,6 +8,7 @@ from sublra import (CountingAccessor, DimensionError, Factored2, Factored3,
                     PreconditionError, RatioOracle, RefineConfig, TopSVD,
                     as_dense, lra_sum, materialize, matrix_norm, refine,
                     relative_error_ratio, truncate_svd)
+from sublra.core import FINITE_CHECK_BLOCK
 from sublra.matgen import (fast_decay_spectrum, gen_synthetic,
                            slow_decay_spectrum)
 
@@ -233,8 +236,8 @@ def test_pseudo_inverse_product_bound():
 class TestCountingAccessor:
     def test_entry_and_counters(self):
         acc = CountingAccessor(np.arange(12.0).reshape(3, 4))
-        assert acc.read_entry(1, 2) == 6.0
-        assert acc.read_entry(1, 2) == 6.0
+        assert acc.read_at([1], [2])[0] == 6.0
+        assert acc.read_at([1], [2])[0] == 6.0
         assert acc.total_reads == 2
         assert acc.distinct_accessed == 1
 
@@ -264,3 +267,71 @@ class TestCountingAccessor:
         assert acc.first_unaccessed() == (1, 0)
         acc.read_full()
         assert acc.first_unaccessed() is None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ledger_matches_brute_force_mask(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        acc = CountingAccessor(rng.standard_normal((m, n)))
+        mask = np.zeros((m, n), dtype=bool)
+        reads = 0
+        for _ in range(int(rng.integers(0, 8))):
+            kind = rng.integers(5)
+            rows = rng.integers(-m, m, size=int(rng.integers(0, m + 1)))
+            cols = rng.integers(-n, n, size=int(rng.integers(0, n + 1)))
+            if kind == 0:
+                got = acc.read_rows(rows)
+                want = acc.target[rows, :]
+                mask[rows, :] = True
+                reads += rows.size * n
+            elif kind == 1:
+                got = acc.read_cols(cols)
+                want = acc.target[:, cols]
+                mask[:, cols] = True
+                reads += cols.size * m
+            elif kind == 2:
+                k = int(rng.integers(0, 2 * m * n))
+                rows = rng.integers(-m, m, size=k)
+                cols = rng.integers(-n, n, size=k)
+                got = acc.read_at(rows, cols)
+                want = acc.target[rows, cols]
+                mask[rows, cols] = True
+                reads += k
+            elif kind == 3:
+                got = acc.read_submatrix(rows, cols)
+                want = acc.target[np.ix_(rows, cols)]
+                mask[np.ix_(rows, cols)] = True
+                reads += rows.size * cols.size
+            else:
+                got = acc.read_full()
+                want = acc.target
+                mask[:, :] = True
+                reads += m * n
+            assert np.array_equal(got, want)
+            assert acc.total_reads == reads
+            assert acc.distinct_accessed == int(mask.sum())
+            assert np.array_equal(acc.accessed, mask)
+            unread = np.argwhere(~mask)
+            assert acc.first_unaccessed() == (
+                tuple(int(x) for x in unread[0]) if unread.size else None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_last_scan_block(self, bad):
+        M = np.ones((FINITE_CHECK_BLOCK // 64 + 3, 64))
+        M[-1, 17] = bad
+        with pytest.raises(PreconditionError):
+            CountingAccessor(M)
+
+    def test_ledger_keeps_no_dense_mask(self):
+        M = np.ones((2048, 2048))
+        tracemalloc.start()
+        try:
+            acc = CountingAccessor(M)
+            rows = acc.read_rows(np.arange(0, 2048, 128))
+            cols = acc.read_cols(np.arange(5, 2048, 128))
+            assert acc.distinct_accessed == 2 * 16 * 2048 - 16 * 16
+            assert acc.first_unaccessed() == (1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes - cols.nbytes < 1 << 20
