@@ -9,9 +9,9 @@ benchmark harness.
 from .bench import (AuditReport, BenchInput, BenchSpec, audit_pipeline,
                     audit_refine, bench_csv, run_bench, spectra, spectra_csv)
 from .core import (CountingAccessor, DimensionError, ErrorRatio, Factored2,
-                   Factored3, PreconditionError, RatioOracle, TopSVD,
-                   as_dense, lra_sum, materialize, matrix_norm,
-                   relative_error_ratio, truncate_svd)
+                   PreconditionError, RatioOracle, TopSVD, as_dense, lra_sum,
+                   materialize, matrix_norm, relative_error_ratio,
+                   truncate_svd)
 from .cur import (CURDecomp, SingularNucleusError, nucleus_norm_bound,
                   rr_select, svd_to_cur)
 from .errest import (ErrorEstimate, entry_lower_bound,
@@ -26,6 +26,6 @@ from .refine import (IterationRecord, RefineConfig, RefinementReport,
 from .sketch import (SketchOperator, apply_dense, apply_left, apply_right,
                      apply_to_factored, from_descriptor, make_multiplier)
 from .topsvd import (QRPFallbackWarning, recompress, topsvd_of_lra,
-                     topsvd_of_lra3, topsvd_of_lra_qrp)
+                     topsvd_of_lra_qrp)
 
 __version__ = "0.1.0"

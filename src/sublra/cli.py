@@ -16,8 +16,8 @@ from .core import (CountingAccessor, DimensionError, PreconditionError,
 from .cur import nucleus_norm_bound, reconstruction_error, svd_to_cur
 from .errest import (entry_lower_bound, gaussian_error_estimate,
                      sketch_norm_bounds)
-from .matgen import gen_synthetic, load_input, save_matrix, spectrum_by_name
-from .mmio import MatrixMarketError
+from .matgen import gen_synthetic, load_input, spectrum_by_name
+from .mmio import MatrixMarketError, save_matrix
 from .refine import RefineConfig, refine
 from .sketch import apply_left, apply_right, make_multiplier
 

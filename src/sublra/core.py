@@ -10,7 +10,7 @@ O(m + n + sampled entries) memory, so counting costs no m-by-n mask.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -124,7 +124,7 @@ class CountingAccessor:
         cols = np.asarray(cols)
         values = self.target[rows, cols]
         self._list(rows, cols)
-        self.total_reads += rows.size
+        self.total_reads += values.size
         return values
 
     def read_rows(self, rows):
@@ -206,31 +206,6 @@ class Factored2:
         return cls(np.zeros((m, 0)), np.zeros((0, n)))
 
 
-@dataclass
-class Factored3:
-    """Three-factor low-rank form X @ T @ Y."""
-
-    X: np.ndarray
-    T: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
-        self.T = np.ascontiguousarray(self.T, dtype=np.float64)
-        self.Y = np.ascontiguousarray(self.Y, dtype=np.float64)
-        if self.X.shape[1] != self.T.shape[0] or self.T.shape[1] != self.Y.shape[0]:
-            raise DimensionError(
-                f"inner dimensions disagree: {self.X.shape} @ {self.T.shape} @ {self.Y.shape}")
-
-    @property
-    def shape(self):
-        return (self.X.shape[0], self.Y.shape[1])
-
-    def to_factored2(self):
-        """Fold the middle factor into X."""
-        return Factored2(self.X @ self.T, self.Y)
-
-
 ORTHONORMALITY_TOL = 1e-12
 
 
@@ -275,15 +250,10 @@ class TopSVD:
         return Factored2(self.U, self.sigma[:, None] * self.V.T)
 
 
-AnyLRA = Union[Factored2, Factored3, TopSVD]
-
-
 def materialize(L):
     """Dense product of a factored form (or a dense matrix, returned as-is)."""
     if isinstance(L, Factored2):
         return L.A @ L.B
-    if isinstance(L, Factored3):
-        return (L.X @ L.T) @ L.Y
     if isinstance(L, TopSVD):
         return (L.U * L.sigma[None, :]) @ L.V.T
     return as_dense(L)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .core import DimensionError, PreconditionError, as_dense
-from .mmio import load_matrix, pad_matrix, save_matrix  # noqa: F401  (re-export)
+from .mmio import load_matrix, pad_matrix
 
 PLATEAU = 20      # leading singular values pinned at 1
 FAST_CUTOFF = 100  # fast-decay spectrum is exactly zero beyond this index

@@ -69,7 +69,6 @@ class RefineConfig:
     residual_tol: float = 1e-6
     probes: int = 8
     seed: int = 0
-    recompress_method: str = "svd"
 
     def __post_init__(self):
         if self.rho < 1:
@@ -250,8 +249,7 @@ def refine(M, config, evaluator=None):
         rank_before = updated.rank_bound
         ratio_before = None if evaluator is None else float(evaluator(updated))
         if config.truncate_every_iteration and updated.rank_bound > config.rho:
-            truncated = recompress(updated, config.rho,
-                                   method=config.recompress_method)
+            truncated = recompress(updated, config.rho)
             ratio_after = None if evaluator is None else float(evaluator(truncated))
         else:
             truncated = updated

@@ -1,13 +1,14 @@
 """Top singular triplets of a factored product without materializing it.
 
-``topsvd_of_lra`` is exact: SVD both factors, SVD the small core, compose.
-``topsvd_of_lra_qrp`` swaps the factor SVDs for pivoted QR factorizations and
-truncates the core to rho-by-rho before its SVD; it is an approximation whose
-quality rests on the pivoting seeing the decay in *both* factors, which holds
-for LRA-shaped inputs where the inner coordinates carry the decay, but can
-break when one factor is flat (e.g. orthonormal).  Both cost
-O((m + n) k^2) flops, superfast relative to the m-by-n product whenever
-k^2 << min(m, n).
+``topsvd_of_lra`` is exact: thin QR factorizations of both factors reduce
+A @ B to a k-by-k core, whose SVD is composed with the two orthonormal
+bases.  ``recompress`` truncates a factored iterate to rank rho through it.
+``topsvd_of_lra_qrp`` uses pivoted QR factorizations instead and truncates
+the core to rho-by-rho before its SVD; it is an approximation whose quality
+rests on the pivoting seeing the decay in *both* factors, which holds for
+LRA-shaped inputs where the inner coordinates carry the decay, but can break
+when one factor is flat (e.g. orthonormal).  Both cost O((m + n) k^2) flops,
+superfast relative to the m-by-n product whenever k^2 << min(m, n).
 """
 
 import warnings
@@ -32,7 +33,7 @@ def _check_ranks(L, rho):
             f"rank bound {k} exceeds min(m, n) = {min(m, n)}")
 
 
-def _svd(a, full_matrices=True):
+def _svd(a):
     """SVD by LAPACK gesdd, retried with gesvd when gesdd does not converge.
 
     gesdd fails on some matrices whose singular values cluster (seen on a
@@ -40,31 +41,24 @@ def _svd(a, full_matrices=True):
     factors those.  Whatever gesdd factors keeps its exact output.
     """
     try:
-        return la.svd(a, full_matrices=full_matrices)
+        return la.svd(a)
     except la.LinAlgError:
-        return la.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
+        return la.svd(a, lapack_driver="gesvd")
 
 
 def topsvd_of_lra(L, rho):
     """Exact rho-top SVD of A @ B.
 
-    Factor SVDs A = U_A S_A V_A^T and B = U_B S_B V_B^T reduce the product
-    to the k-by-k core W = S_A V_A^T U_B S_B with A B = U_A W V_B^T; the
-    core's SVD is then composed into the output.
+    Thin QR factorizations A = Q_A R_A and B^T = Q_B R_B give
+    A B = Q_A (R_A R_B^T) Q_B^T, so the SVD U_W diag(s_W) V_W^T of the k-by-k
+    core R_A R_B^T yields the top triplets (Q_A U_W, s_W, Q_B V_W), cut to
+    the leading rho.
     """
     _check_ranks(L, rho)
-    Ua, sa, Vat = _svd(L.A, full_matrices=False)
-    Ub, sb, Vbt = _svd(L.B, full_matrices=False)
-    W = (sa[:, None] * Vat) @ (Ub * sb[None, :])
-    Uw, sw, Vwt = _svd(W)
-    U = Ua @ Uw[:, :rho]
-    V = Vbt.T @ Vwt.T[:, :rho]
-    return TopSVD(U, sw[:rho], V)
-
-
-def topsvd_of_lra3(L3, rho):
-    """Thin three-factor wrapper: folds the middle factor into X."""
-    return topsvd_of_lra(L3.to_factored2(), rho)
+    Qa, Ra = la.qr(L.A, mode="economic")
+    Qb, Rb = la.qr(L.B.T, mode="economic")
+    Uw, sw, Vwt = _svd(Ra @ Rb.T)
+    return TopSVD(Qa @ Uw[:, :rho], sw[:rho], Qb @ Vwt[:rho].T)
 
 
 def _subpermutation(perm, rho):
@@ -117,29 +111,26 @@ def topsvd_of_lra_qrp(L, rho, h=1.01):
     return TopSVD(U, s, V)
 
 
-def recompress(L, rho, method="svd", h=1.01):
-    """Truncate a factored form back to rank rho, keeping it factored.
+def recompress(L, rho):
+    """Truncate a factored form back to rank rho exactly, keeping it factored.
 
-    method "svd" uses the exact path, "qrp" the pivoted approximation.  The
-    error after exact re-compression obeys the triangle-inequality growth
-    bounds ||M - (AB)_rho|| <= ||M - AB|| + tau_rho(AB)
+    The error obeys the triangle-inequality growth bounds
+    ||M - (AB)_rho|| <= ||M - AB|| + tau_rho(AB)
     and ||M - (AB)_rho|| <= 2 ||M - AB|| + tau_rho(M).
     """
-    if method == "svd":
-        S = topsvd_of_lra(L, rho)
-    elif method == "qrp":
-        S = topsvd_of_lra_qrp(L, rho, h=h)
-    else:
-        raise ValueError(f"unknown recompress method {method!r}")
-    return S.to_factored2()
+    return topsvd_of_lra(L, rho).to_factored2()
 
 
 # Flop model for the exact path, mirroring its matrix shapes; used to pin the
 # superfast cost envelope in tests without timing noise.
 
-def _svd_flops(m, n):
-    small, big = sorted((m, n))
-    return 14 * big * small * small
+def _qr_flops(m, k):
+    # Householder R of an m-by-k panel, then its thin Q formed explicitly
+    return 2 * (2 * m * k * k - 2 * k ** 3 // 3)
+
+
+def _svd_flops(k):
+    return 14 * k ** 3
 
 
 def _matmul_flops(m, k, n):
@@ -148,6 +139,6 @@ def _matmul_flops(m, k, n):
 
 def topsvd_flop_estimate(m, n, k, rho):
     """Modeled flop count of the exact path: O((m + n) k^2)."""
-    return (_svd_flops(m, k) + _svd_flops(k, n) + _svd_flops(k, k)
-            + 2 * _matmul_flops(k, k, k)
+    return (_qr_flops(m, k) + _qr_flops(n, k) + _matmul_flops(k, k, k)
+            + _svd_flops(k)
             + _matmul_flops(m, k, rho) + _matmul_flops(n, k, rho))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from sublra import (CountingAccessor, DimensionError, Factored2, Factored3,
+from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, RatioOracle, RefineConfig, TopSVD,
                     as_dense, lra_sum, materialize, matrix_norm, refine,
                     relative_error_ratio, truncate_svd)
@@ -77,17 +77,11 @@ def test_materialize_forms():
     expected = np.zeros((4, 4))
     expected[0, 0] = 2.0
     assert np.array_equal(materialize(S), expected)
-    rng = np.random.default_rng(3)
-    L3 = Factored3(rng.standard_normal((9, 4)), rng.standard_normal((4, 5)),
-                   rng.standard_normal((5, 7)))
-    assert np.array_equal(materialize(L3), (L3.X @ L3.T) @ L3.Y)
 
 
 def test_factored_dimension_checks():
     with pytest.raises(DimensionError):
         Factored2(np.zeros((3, 2)), np.zeros((3, 4)))
-    with pytest.raises(DimensionError):
-        Factored3(np.zeros((3, 2)), np.zeros((2, 5)), np.zeros((4, 6)))
 
 
 def test_topsvd_invariants_enforced():
@@ -240,6 +234,14 @@ class TestCountingAccessor:
         assert acc.read_at([1], [2])[0] == 6.0
         assert acc.total_reads == 2
         assert acc.distinct_accessed == 1
+
+    def test_broadcast_read_at_counts_every_value(self):
+        acc = CountingAccessor(np.arange(12.0).reshape(3, 4))
+        assert np.array_equal(acc.read_at(0, [0, 1, 2]), [0.0, 1.0, 2.0])
+        assert acc.total_reads == 3
+        assert acc.read_at([[0], [1]], [0, 1, 2]).shape == (2, 3)
+        assert acc.total_reads == 9
+        assert acc.distinct_accessed == 6
 
     def test_block_reads(self):
         acc = CountingAccessor(np.arange(20.0).reshape(4, 5))

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sublra
 from sublra import (CountingAccessor, DimensionError, PreconditionError,
                     RatioOracle, RefineConfig, materialize, rank_schedule,
                     refine, sketch_rank_r_approx, make_multiplier)
@@ -153,6 +160,34 @@ def test_refine_rejects_evaluator_reading_the_accessor():
     with pytest.raises(RuntimeError, match="outside sketch application"):
         refine(acc, RefineConfig(rho=4, max_iters=2, seed=21),
                evaluator=peeking_evaluator)
+
+
+def test_read_invariant_survives_optimize_flag():
+    # the driver's read check must hold where asserts are stripped
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from sublra import CountingAccessor, RefineConfig, refine
+        print("optimize", sys.flags.optimize)
+        acc = CountingAccessor(np.random.default_rng(0).standard_normal((32, 32)))
+        def peeking_evaluator(L):
+            acc.read_rows([0])
+            return 0.0
+        try:
+            refine(acc, RefineConfig(rho=4, max_iters=1, seed=21),
+                   evaluator=peeking_evaluator)
+        except RuntimeError as exc:
+            print("RuntimeError:", exc)
+    """)
+    src = str(Path(sublra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "optimize 1" in out.stdout
+    assert "RuntimeError:" in out.stdout
+    assert "outside sketch application" in out.stdout
 
 
 def test_refine_access_bound_formula():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from sublra import (DimensionError, Factored2, Factored3, QRPFallbackWarning,
-                    materialize, recompress, topsvd_of_lra, topsvd_of_lra3,
-                    topsvd_of_lra_qrp)
-from sublra.topsvd import topsvd_flop_estimate
+from sublra import (DimensionError, Factored2, QRPFallbackWarning,
+                    materialize, recompress, topsvd_of_lra, topsvd_of_lra_qrp)
+from sublra.topsvd import _svd, topsvd_flop_estimate
 
 
 def decayed_instance(m, n, k, rate, seed):
@@ -42,6 +41,16 @@ def test_gesdd_nonconvergent_input():
         assert err == pytest.approx(s[rho], rel=1e-6)
 
 
+def test_svd_retries_gesdd_failure_with_gesvd():
+    # gesdd (OpenBLAS 0.3.31) fails on the captured matrix itself but factors
+    # the QR cores topsvd_of_lra builds from it, so the retry is checked here
+    W = np.load(Path(__file__).parent / "data" / "gesdd_nonconvergent_core.npy")
+    U, s, Vt = _svd(W)
+    s_gesvd = la.svd(W, compute_uv=False, lapack_driver="gesvd")
+    assert np.abs(s - s_gesvd).max() <= 1e-12
+    assert np.abs((U * s) @ Vt - W).max() <= 1e-12
+
+
 def test_matches_full_svd_oracle():
     rng = np.random.default_rng(21)
     L = Factored2(rng.standard_normal((200, 30)), rng.standard_normal((30, 150)))
@@ -65,15 +74,6 @@ def test_rho_out_of_range():
     L = Factored2(np.ones((5, 2)), np.ones((2, 5)))
     with pytest.raises(DimensionError):
         topsvd_of_lra(L, 3)
-
-
-def test_three_factor_wrapper():
-    rng = np.random.default_rng(23)
-    L3 = Factored3(rng.standard_normal((40, 8)), rng.standard_normal((8, 6)),
-                   rng.standard_normal((6, 35)))
-    S = topsvd_of_lra3(L3, 4)
-    s_oracle = la.svd(materialize(L3), compute_uv=False)
-    assert np.abs(S.sigma - s_oracle[:4]).max() <= 1e-10 * s_oracle[0]
 
 
 class TestQRPVariant:
@@ -134,16 +134,11 @@ class TestRecompress:
         assert np.linalg.norm(materialize(R) - materialize(L)) \
             <= 1e-12 * np.linalg.norm(materialize(L))
 
-    @pytest.mark.parametrize("method", ["svd", "qrp"])
+    @pytest.mark.parametrize("method", ["svd"])
     def test_methods_reduce_rank(self, method):
         L = decayed_instance(64, 60, 12, 0.5, seed=35)
-        R = recompress(L, 4, method=method)
+        R = recompress(L, 4)
         assert R.rank_bound == 4
-
-    def test_unknown_method(self):
-        L = decayed_instance(20, 20, 4, 0.5, seed=36)
-        with pytest.raises(ValueError):
-            recompress(L, 2, method="lup")
 
     def test_error_growth_bounds(self):
         # triangle-inequality bounds for the exact truncation path
