@@ -17,12 +17,11 @@ from .cur import (CURDecomp, SingularNucleusError, nucleus_norm_bound,
 from .errest import (ErrorEstimate, entry_lower_bound,
                      frobenius_confidence_band, gaussian_error_estimate,
                      residual_probe, sketch_norm_bounds)
-from .matgen import (SpectrumSpec, custom_spectrum, delta_family,
-                     fast_decay_spectrum, gen_delta, gen_synthetic,
-                     slow_decay_spectrum)
+from .matgen import (SpectrumSpec, custom_spectrum, fast_decay_spectrum,
+                     gen_delta, gen_synthetic, slow_decay_spectrum)
 from .mmio import MatrixMarketError, load_matrix, pad_matrix, save_matrix
 from .refine import (IterationRecord, RefineConfig, RefinementReport,
-                     rank_schedule, refine, sketch_rank_r_approx)
+                     refine, sketch_rank_r_approx)
 from .sketch import (SketchOperator, apply_dense, apply_left, apply_right,
                      apply_to_factored, from_descriptor, make_multiplier)
 from .topsvd import (QRPFallbackWarning, recompress, topsvd_of_lra,

@@ -299,7 +299,7 @@ def property_suite(M, rho, seed=0):
 
     cur = svd_to_cur(S)
     cur_err = float(np.linalg.norm(materialize(S) - cur.materialize()))
-    norm_n = float(la.svdvals(cur.N)[0])
+    norm_n = spectral_norm(cur.N)
     bound = 3.0 * nucleus_norm_bound(m, n, rho, sigma_rho=float(S.sigma[-1]))
     check("cur-reconstruction", cur_err <= 1e-10 * np.linalg.norm(materialize(S)),
           f"reconstruction error {cur_err:.3e}")

@@ -8,11 +8,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from .core import (CountingAccessor, DimensionError, PreconditionError,
-                   truncate_svd)
+                   spectral_norm, truncate_svd)
 from .cur import nucleus_norm_bound, reconstruction_error, svd_to_cur
 from .errest import (entry_lower_bound, gaussian_error_estimate,
                      sketch_norm_bounds)
@@ -154,7 +152,7 @@ def cmd_cur(args):
         "row_indices": [int(i) for i in decomp.row_indices],
         "col_indices": [int(j) for j in decomp.col_indices],
         "reconstruction_error_fro": reconstruction_error(S, decomp),
-        "nucleus_norm": float(np.linalg.norm(decomp.N, 2)),
+        "nucleus_norm": spectral_norm(decomp.N),
         "nucleus_bound": nucleus_norm_bound(*M.shape, args.rho,
                                             sigma_rho=float(S.sigma[-1])),
     }

@@ -260,10 +260,11 @@ def materialize(L):
 
 
 def matrix_norm(M, kind="spectral"):
-    """Spectral (largest singular value) or Frobenius norm of a dense matrix."""
+    """Spectral (largest singular value, ``spectral_norm``) or Frobenius norm
+    of a dense matrix."""
     M = as_dense(M)
     if kind == "spectral":
-        return float(la.svdvals(M)[0])
+        return spectral_norm(M)
     if kind == "frobenius":
         return float(np.linalg.norm(M))
     raise ValueError(f"unknown norm kind {kind!r}")

@@ -1,4 +1,4 @@
-"""Synthetic test inputs: prescribed-spectrum matrices and the delta family.
+"""Synthetic test inputs: prescribed-spectrum matrices and single-entry deltas.
 
 Random inputs are built as U diag(values) V^T where U and V are the left and
 right singular-vector factors of one seeded standard Gaussian matrix.  The
@@ -92,14 +92,6 @@ def gen_delta(m, n, i, j):
     M = np.zeros((m, n))
     M[i - 1, j - 1] = 1.0
     return M
-
-
-def delta_family(m, n):
-    """Yield the zero matrix and all m*n single-entry matrices."""
-    yield np.zeros((m, n))
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            yield gen_delta(m, n, i, j)
 
 
 def load_input(path, pad=None):

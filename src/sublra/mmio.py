@@ -6,6 +6,8 @@ IEEE doubles exactly.  Array files are stored column-major per the format;
 coordinate files use 1-based indices.
 """
 
+import re
+
 import numpy as np
 
 from .core import as_dense
@@ -37,10 +39,24 @@ def _parse_header(header, lineno):
     return fmt, fld, sym
 
 
+def _non_ascii_error(path):
+    """MatrixMarketError naming the line of the file's first non-ASCII byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    pos = re.search(rb"[\x80-\xff]", raw).start()
+    # the "." completes a partial last line, or opens the next one
+    lineno = len((raw[:pos] + b".").splitlines())
+    return MatrixMarketError(f"non-ASCII byte 0x{raw[pos]:02x}", lineno)
+
+
 def load_matrix(path):
     """Read a real array/coordinate Matrix Market file into a dense array."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        # the bytes are read again only to name the line
+        raise _non_ascii_error(path) from None
     if not lines:
         raise MatrixMarketError("empty file", 1)
     fmt, _, sym = _parse_header(lines[0], 1)

@@ -11,15 +11,15 @@ to the target rank.  The rank-r fit (two thin QRs and a pseudo-inverse) is:
     correction = Q (T^+ U^T (F E))
 
 which recovers E exactly whenever E has rank at most r and the sketches
-retain it.  The first iteration runs at r = rho, later ones at
-r = rank + rho = 2 rho under per-iteration truncation.
+retain it.  Each iteration runs at r = rank + rho: r = rho first, then
+r = 2 rho, since every iterate is truncated back to rank rho.  A run takes
+exactly ``max_iters`` iterations.
 
 Abridged multipliers draw their rows and signs anew every iteration, but
 only from one class pool per run (see ``sketch.make_multiplier``): 2 r_max
 row classes for F and r_max for H, r_max = 2 rho.  So the whole run reads
 at most 2^d (2 r_max n + r_max m) entries of M, the budget of one
-iteration.  A run without truncation, whose r outgrows r_max, widens its
-pools to 2r and r classes; the wider pools contain the narrower ones.
+iteration.
 
 All arithmetic is uniform IEEE double precision; classical refinement
 sometimes carries the residual subtraction at higher precision, but at these
@@ -38,7 +38,6 @@ import numpy as np
 import scipy.linalg as la
 
 from .core import CountingAccessor, DimensionError, Factored2, PreconditionError, lra_sum
-from .errest import residual_probe
 from .sketch import (apply_dense, apply_left, apply_right, apply_to_factored,
                      make_multiplier)
 from .topsvd import recompress
@@ -53,21 +52,14 @@ class RankDeficientSketchWarning(UserWarning):
 
 @dataclass
 class RefineConfig:
-    """Knobs of one refinement run.
-
-    stop="fixed" runs exactly max_iters iterations; stop="residual" stops
-    early once the probe value falls to residual_tol times the value at the
-    first iteration, and reports FAILURE if that never happens.
-    """
+    """Knobs of one refinement run: target rank rho, the number of
+    iterations (all of them run), the multiplier family, its depth and the
+    master seed."""
 
     rho: int
     max_iters: int = 3
     multiplier: str = "ahad"
     depth: int = 3
-    truncate_every_iteration: bool = True
-    stop: str = "fixed"
-    residual_tol: float = 1e-6
-    probes: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -77,8 +69,6 @@ class RefineConfig:
             raise PreconditionError("max_iters must be positive")
         if self.multiplier not in ("ahad", "gaussian"):
             raise ValueError(f"unknown multiplier {self.multiplier!r}")
-        if self.stop not in ("fixed", "residual"):
-            raise ValueError(f"unknown stop rule {self.stop!r}")
 
     def validate_for(self, shape):
         m, n = shape
@@ -95,7 +85,6 @@ class IterationRecord:
     rank_after: int
     ratio_before: Optional[float]
     ratio_after: Optional[float]
-    residual_probe: float
     distinct_accesses: int
     total_reads: int
 
@@ -104,7 +93,6 @@ class IterationRecord:
 class RefinementReport:
     config: RefineConfig
     records: list = field(default_factory=list)
-    status: str = "ok"
     final_rank: int = 0
     total_distinct_accesses: int = 0
     total_reads: int = 0
@@ -126,8 +114,7 @@ class RefinementReport:
         c = self.config
         lines = [
             f"refinement: rho={c.rho} multiplier={c.multiplier} depth={c.depth} "
-            f"iters={len(self.records)}/{c.max_iters} seed={c.seed} "
-            f"status={self.status}",
+            f"iters={len(self.records)} seed={c.seed}",
             f"final rank {self.final_rank}, distinct accesses "
             f"{self.total_distinct_accesses}, total reads {self.total_reads}, "
             f"{self.wall_time:.3f}s",
@@ -137,15 +124,8 @@ class RefinementReport:
             ra = "-" if r.ratio_after is None else f"{r.ratio_after:.4e}"
             lines.append(
                 f"  iter {r.iteration}: rank {r.rank_before}->{r.rank_after} "
-                f"ratio before/after {rb}/{ra} probe {r.residual_probe:.4e}")
+                f"ratio before/after {rb}/{ra}")
         return "\n".join(lines)
-
-
-def rank_schedule(i, current_rank, rho):
-    """Correction rank for iteration i: current rank plus the target rank."""
-    if i < 0:
-        raise PreconditionError("iteration index must be nonnegative")
-    return current_rank + rho
 
 
 def _pinv_flagged(T):
@@ -211,8 +191,8 @@ def refine(M, config, evaluator=None):
     iterate to fill the report's error ratios; it must not read through the
     accessor, and a read raises RuntimeError.
 
-    Returns (approximation, report).  A residual-stop run that exhausts
-    max_iters reports status "failure" but still returns its best iterate.
+    Runs exactly ``config.max_iters`` iterations and returns
+    (approximation, report); the approximation has rank at most rho.
     """
     if not isinstance(M, CountingAccessor):
         raise TypeError("refine reads through a CountingAccessor")
@@ -224,22 +204,14 @@ def refine(M, config, evaluator=None):
     seeds = _iteration_seeds(config.seed, config.max_iters)
     pool_f, pool_h = _pool_seeds(config.seed)
     r_max = 2 * config.rho
-    probe_floor = None
-    status = "ok" if config.stop == "fixed" else "failure"
 
     for i in range(config.max_iters):
-        r = rank_schedule(i, approx.rank_bound, config.rho)
-        if 2 * r > min(m, n):
-            raise PreconditionError(
-                f"iteration {i} needs sketch size 2r={2 * r} <= min(m, n)")
+        r = approx.rank_bound + config.rho
         seed_f, seed_h = (int(s) for s in seeds[i])
-        pool_size = max(r, r_max)
         F = make_multiplier(config.multiplier, 2 * r, m, depth=config.depth,
-                            seed=seed_f, side="left",
-                            pool=(pool_f, 2 * pool_size))
+                            seed=seed_f, side="left", pool=(pool_f, 2 * r_max))
         H = make_multiplier(config.multiplier, r, n, depth=config.depth,
-                            seed=seed_h, side="right",
-                            pool=(pool_h, pool_size))
+                            seed=seed_h, side="right", pool=(pool_h, r_max))
         FE = apply_left(F, M) - apply_to_factored(F, approx)
         EH = apply_right(M, H) - apply_to_factored(H, approx)
         reads_after_sketch = M.total_reads
@@ -248,41 +220,27 @@ def refine(M, config, evaluator=None):
         updated = lra_sum(approx, delta)
         rank_before = updated.rank_bound
         ratio_before = None if evaluator is None else float(evaluator(updated))
-        if config.truncate_every_iteration and updated.rank_bound > config.rho:
-            truncated = recompress(updated, config.rho)
-            ratio_after = None if evaluator is None else float(evaluator(truncated))
+        if updated.rank_bound > config.rho:
+            approx = recompress(updated, config.rho)
+            ratio_after = None if evaluator is None else float(evaluator(approx))
         else:
-            truncated = updated
+            approx = updated
             ratio_after = ratio_before
-        probe = residual_probe(approx, truncated, config.probes,
-                               seed=int(seeds[i][0] ^ seeds[i][1]))
         if M.total_reads != reads_after_sketch:
             raise RuntimeError(
                 f"input read outside sketch application in iteration {i}: "
                 f"{M.total_reads - reads_after_sketch} entries")
 
-        approx = truncated
         report.records.append(IterationRecord(
             iteration=i,
             rank_before=rank_before,
             rank_after=approx.rank_bound,
             ratio_before=ratio_before,
             ratio_after=ratio_after,
-            residual_probe=probe,
             distinct_accesses=M.distinct_accessed,
             total_reads=M.total_reads,
         ))
-        if config.stop == "residual":
-            if probe_floor is None:
-                probe_floor = probe
-                if probe_floor == 0.0:
-                    status = "ok"
-                    break
-            elif probe <= config.residual_tol * probe_floor:
-                status = "ok"
-                break
 
-    report.status = status
     report.final_rank = approx.rank_bound
     report.total_distinct_accesses = M.distinct_accessed
     report.total_reads = M.total_reads

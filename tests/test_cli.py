@@ -58,7 +58,6 @@ def test_refine_with_ratios(matrix_file, tmp_path, capsys):
                  "--seed", "3", "--ratios", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    assert "status=ok" in text
     assert "iter 0" in text
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 3
@@ -133,6 +132,17 @@ def test_malformed_file_is_io_error(tmp_path, capsys):
     bad.write_text("not a matrix market file\n")
     assert main(["spectra", "--input", str(bad)]) == 3
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"\xef\xbb\xbf%%MatrixMarket matrix array real general\n1 1\n0\n", 1),
+    (b"%%MatrixMarket matrix array real general\n% caf\xe9\n1 1\n0\n", 2),
+], ids=["utf8-bom", "latin1-comment"])
+def test_non_ascii_file_is_io_error(tmp_path, capsys, raw, line):
+    bad = tmp_path / "bad.mtx"
+    bad.write_bytes(raw)
+    assert main(["spectra", "--input", str(bad)]) == 3
+    assert f"line {line}" in capsys.readouterr().err
 
 
 def test_missing_input_args_is_precondition(capsys):

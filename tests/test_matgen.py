@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from sublra import (PreconditionError, SpectrumSpec, delta_family,
-                    fast_decay_spectrum, gen_delta, gen_synthetic,
-                    slow_decay_spectrum)
+from sublra import (PreconditionError, SpectrumSpec, fast_decay_spectrum,
+                    gen_delta, gen_synthetic, slow_decay_spectrum)
 from sublra.matgen import custom_spectrum, load_input, spectrum_by_name
 from sublra.mmio import save_matrix
 
@@ -72,13 +71,6 @@ def test_gen_delta_examples():
         gen_delta(2, 2, 3, 1)
     with pytest.raises(PreconditionError):
         gen_delta(2, 2, 1, 0)
-
-
-def test_delta_family_cardinality_and_rank():
-    members = list(delta_family(3, 4))
-    assert len(members) == 3 * 4 + 1
-    for M in members:
-        assert np.linalg.matrix_rank(M) <= 1
 
 
 def test_load_input_with_padding(tmp_path):

@@ -60,6 +60,18 @@ def test_bad_value_names_its_line(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("raw, line", [
+    (b"\xef\xbb\xbf%%MatrixMarket matrix array real general\n1 1\n0\n", 1),
+    (b"%%MatrixMarket matrix array real general\n% caf\xe9\n1 1\n0\n", 2),
+], ids=["utf8-bom", "latin1-comment"])
+def test_non_ascii_byte_names_its_line(tmp_path, raw, line):
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(raw)
+    with pytest.raises(MatrixMarketError, match=f"line {line}") as exc:
+        load_matrix(path)
+    assert exc.value.line == line
+
+
 def test_coordinate_index_out_of_range(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"

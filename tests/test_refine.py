@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import pytest
 
 import sublra
 from sublra import (CountingAccessor, DimensionError, PreconditionError,
-                    RatioOracle, RefineConfig, materialize, rank_schedule,
-                    refine, sketch_rank_r_approx, make_multiplier)
+                    RatioOracle, RefineConfig, materialize, refine,
+                    sketch_rank_r_approx, make_multiplier)
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
 from sublra.refine import RankDeficientSketchWarning
 
@@ -18,14 +19,6 @@ from sublra.refine import RankDeficientSketchWarning
 def rank_r_matrix(m, n, r, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-
-
-def test_rank_schedule():
-    assert rank_schedule(0, 0, 20) == 20
-    assert rank_schedule(1, 20, 20) == 40
-    assert rank_schedule(5, 7, 3) == 10
-    with pytest.raises(PreconditionError):
-        rank_schedule(-1, 0, 3)
 
 
 @pytest.mark.parametrize("kind", ["ahad", "gaussian"])
@@ -68,7 +61,6 @@ def test_refine_recovers_exact_rank_input():
     config = RefineConfig(rho=6, max_iters=1, seed=9)
     approx, report = refine(acc, config)
     assert np.linalg.norm(M - materialize(approx)) <= 1e-8 * np.linalg.norm(M)
-    assert report.status == "ok"
     assert report.final_rank <= 6
 
 
@@ -100,39 +92,50 @@ def test_refine_determinism():
     assert runs[0][1] == runs[1][1]
 
 
-def test_refine_never_truncating_growth_envelope():
-    M = gen_synthetic(128, fast_decay_spectrum(128), seed=49)
-    acc = CountingAccessor(M)
-    config = RefineConfig(rho=4, max_iters=3, seed=15,
-                          truncate_every_iteration=False)
-    approx, report = refine(acc, config)
-    prev_rank = 0
-    for i, rec in enumerate(report.records):
-        r_i = rec.rank_before - prev_rank
-        assert r_i == rank_schedule(i, prev_rank, config.rho)
-        assert r_i <= (2 ** i) * config.rho
-        prev_rank = rec.rank_after
-    assert report.records[0].rank_after == 4
-    assert report.records[1].rank_after == 12
-    assert approx.rank_bound == 28
+# Report CSVs of evaluator-free runs: only ranks and read counts, so they
+# depend on the seeds, the rank schedule and the class pools, not on BLAS.
+PINNED_SCHEDULE_CSV = {
+    ("ahad", 512, 61): (
+        "schema,iter,ratio_before,ratio_after,rank,distinct_accesses,"
+        "total_reads\n"
+        "sublra-report-v1,0,,,4,43520,45056\n"
+        "sublra-report-v1,1,,,4,82944,131072\n"
+        "sublra-report-v1,2,,,4,86528,192512\n"),
+    ("gaussian", 128, 63): (
+        "schema,iter,ratio_before,ratio_after,rank,distinct_accesses,"
+        "total_reads\n"
+        "sublra-report-v1,0,,,4,16384,32768\n"
+        "sublra-report-v1,1,,,4,16384,65536\n"
+        "sublra-report-v1,2,,,4,16384,98304\n"),
+}
 
 
-def test_refine_residual_stop_success_and_failure():
-    M = rank_r_matrix(128, 128, 4, seed=51)
-    acc = CountingAccessor(M)
-    config = RefineConfig(rho=4, max_iters=4, seed=17, stop="residual",
-                          residual_tol=1e-6)
-    approx, report = refine(acc, config)
-    assert report.status == "ok"
-    assert len(report.records) < 4
+@pytest.mark.parametrize("multiplier, n, seed", sorted(PINNED_SCHEDULE_CSV))
+def test_refine_schedule_pinned(multiplier, n, seed):
+    M = gen_synthetic(n, fast_decay_spectrum(n), seed=seed)
+    _, report = refine(CountingAccessor(M),
+                       RefineConfig(rho=4, max_iters=3, depth=3,
+                                    multiplier=multiplier, seed=seed))
+    assert report.to_csv() == PINNED_SCHEDULE_CSV[multiplier, n, seed]
 
-    noisy = np.random.default_rng(0).standard_normal((128, 128))
-    config2 = RefineConfig(rho=4, max_iters=3, seed=19, stop="residual",
-                           residual_tol=1e-12)
-    approx2, report2 = refine(CountingAccessor(noisy), config2)
-    assert report2.status == "failure"
-    assert report2.final_rank <= 4  # best-so-far still returned
-    assert len(report2.records) == 3
+
+def test_perfbench_traced_mode_patches_refine():
+    # the traced benchmark wraps sublra functions by name; a removed or
+    # renamed one must fail here, not only in a traced benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.Recorder()
+    driver_module = importlib.import_module("sublra.refine")
+    original = driver_module.sketch_rank_r_approx
+    M = rank_r_matrix(32, 32, 4, seed=65)
+    with tracing.Patches(recorder):
+        refine(CountingAccessor(M), RefineConfig(rho=2, max_iters=2))
+    assert driver_module.sketch_rank_r_approx is original
+    names = {s[0] for s in recorder.spans}
+    assert {"refine.fit", "topsvd.recompress", "sketch.apply_left",
+            "core.accessor.read"} <= names
 
 
 def test_refine_driver_reads_only_in_sketches():
@@ -282,5 +285,5 @@ def test_report_serialization():
                         "distinct_accesses,total_reads")
     assert len(lines) == 3
     summary = report.summary()
-    assert "rho=4" in summary and "status=ok" in summary
+    assert "rho=4" in summary
     assert "iter 0" in summary
