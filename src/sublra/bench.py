@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as la
 
-from .core import (CountingAccessor, Factored2, RatioOracle, materialize,
-                   spectral_norm, truncate_svd)
+from .core import (CountingAccessor, Factored2, PreconditionError,
+                   RatioOracle, materialize, spectral_norm, truncate_svd)
 from .cur import nucleus_norm_bound, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
 from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
@@ -159,6 +159,8 @@ def bench_csv(rows):
 
 def spectra(M, top_count=50):
     """Leading singular values of a dense matrix, largest first."""
+    if top_count < 1:
+        raise PreconditionError(f"top_count must be positive, got {top_count}")
     s = la.svdvals(M)
     return s[:min(top_count, s.size)]
 

@@ -64,6 +64,20 @@ def entry_lower_bound(E, sample_count, seed=0):
                          method="entry-sample", sample_size=sample_count)
 
 
+def _operator_norm(op, kind="spectral"):
+    """Norm of a sketching operator.
+
+    An abridged operator has r' orthonormal rows, so its spectral norm is 1
+    and its Frobenius norm sqrt(r') exactly; a Gaussian one is computed.
+    """
+    if op.kind == "ahad":
+        if kind == "spectral":
+            return 1.0
+        if kind == "frobenius":
+            return float(np.sqrt(op.sketch_size))
+    return matrix_norm(op.to_dense(), kind)
+
+
 def sketch_norm_bounds(F=None, H=None, FE=None, EH=None, FEH=None,
                        kind="spectral"):
     """Norm lower bound from sketches: the best of |||FE|||/|||F|||,
@@ -78,19 +92,18 @@ def sketch_norm_bounds(F=None, H=None, FE=None, EH=None, FEH=None,
     if FE is not None:
         if F is None:
             raise DimensionError("FE given without F")
-        ratios.append(matrix_norm(FE, kind) / matrix_norm(F.to_dense(), kind))
+        ratios.append(matrix_norm(FE, kind) / _operator_norm(F, kind))
         size += np.asarray(FE).size
     if EH is not None:
         if H is None:
             raise DimensionError("EH given without H")
-        ratios.append(matrix_norm(EH, kind) / matrix_norm(H.to_dense(), kind))
+        ratios.append(matrix_norm(EH, kind) / _operator_norm(H, kind))
         size += np.asarray(EH).size
     if FEH is not None:
         if F is None or H is None:
             raise DimensionError("FEH given without F and H")
         ratios.append(matrix_norm(FEH, kind)
-                      / (matrix_norm(F.to_dense(), kind)
-                         * matrix_norm(H.to_dense(), kind)))
+                      / (_operator_norm(F, kind) * _operator_norm(H, kind)))
         size += np.asarray(FEH).size
     if not ratios:
         raise PreconditionError("no sketches given")
@@ -123,6 +136,9 @@ def gaussian_error_estimate(E, q, s, seed=0, confidence=0.95):
     if not isinstance(E, CountingAccessor):
         raise TypeError("gaussian_error_estimate reads through a CountingAccessor")
     m, n = E.shape
+    if q < 1 or s < 1:
+        raise PreconditionError(
+            f"q and s must be positive, got q={q}, s={s}")
     if q * s < MIN_IID_SAMPLES:
         raise PreconditionError(
             f"q*s = {q * s} too small; need at least {MIN_IID_SAMPLES}")

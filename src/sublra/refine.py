@@ -25,6 +25,11 @@ All arithmetic is uniform IEEE double precision; classical refinement
 sometimes carries the residual subtraction at higher precision, but at these
 problem scales float64 leaves the truncation level far below the optimal
 rank-rho error, so no mixed-precision path is provided.
+
+The QRs and the SVD run on ``numpy.linalg``, the same OpenBLAS that every
+matrix product here uses, so one BLAS thread pool serves the whole run (see
+README, "Linear algebra").  numpy's QR does not reject inf or NaN, so the
+fit checks its sketches for finiteness itself.
 """
 
 import csv
@@ -35,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as la
 
 from .core import CountingAccessor, DimensionError, Factored2, PreconditionError, lra_sum
 from .sketch import (apply_dense, apply_left, apply_right, apply_to_factored,
@@ -130,7 +134,7 @@ class RefinementReport:
 
 def _pinv_flagged(T):
     """SVD pseudo-inverse with singular values below 1e-12 sigma_1 zeroed."""
-    U, s, Vt = la.svd(T, full_matrices=False)
+    U, s, Vt = np.linalg.svd(T, full_matrices=False)
     cutoff = 1e-12 * s[0] if s[0] > 0 else 0.0
     keep = s > cutoff
     if not keep.all():
@@ -148,7 +152,8 @@ def sketch_rank_r_approx(FE, EH, F):
 
     FE is the 2r-by-n left sketch, EH the m-by-r right sketch, F the operator
     that produced FE.  Returns the correction in factored form with rank
-    bound r.
+    bound r.  A sketch with an inf or NaN entry (say, from an input whose
+    entries overflow when summed) raises PreconditionError.
     """
     FE = np.asarray(FE, dtype=np.float64)
     EH = np.asarray(EH, dtype=np.float64)
@@ -160,8 +165,13 @@ def sketch_rank_r_approx(FE, EH, F):
     if FE.shape[0] != 2 * r:
         raise DimensionError(
             f"left sketch must have 2r={2 * r} rows, got {FE.shape[0]}")
-    Q = la.qr(EH, mode="economic")[0]
-    U, T = la.qr(apply_dense(F, Q), mode="economic")
+    for name, sketch in (("left sketch FE", FE), ("right sketch EH", EH)):
+        if not np.isfinite(sketch).all():
+            raise PreconditionError(
+                f"{name} has non-finite entries; the input may overflow "
+                f"float64 when sketched")
+    Q = np.linalg.qr(EH)[0]
+    U, T = np.linalg.qr(apply_dense(F, Q))
     return Factored2(Q, _pinv_flagged(T) @ (U.T @ FE))
 
 

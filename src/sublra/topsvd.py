@@ -9,6 +9,11 @@ rests on the pivoting seeing the decay in *both* factors, which holds for
 LRA-shaped inputs where the inner coordinates carry the decay, but can break
 when one factor is flat (e.g. orthonormal).  Both cost O((m + n) k^2) flops,
 superfast relative to the m-by-n product whenever k^2 << min(m, n).
+
+The exact path's QRs and SVD run on ``numpy.linalg``, whose OpenBLAS also
+serves every matrix product of the refinement, so recompressing inside a
+refine run stays on one BLAS thread pool.  scipy is kept for what numpy does
+not offer: the gesvd retry and the pivoted QR.
 """
 
 import warnings
@@ -16,7 +21,7 @@ import warnings
 import numpy as np
 import scipy.linalg as la
 
-from .core import DimensionError, TopSVD
+from .core import DimensionError, PreconditionError, TopSVD
 
 
 class QRPFallbackWarning(UserWarning):
@@ -34,15 +39,17 @@ def _check_ranks(L, rho):
 
 
 def _svd(a):
-    """SVD by LAPACK gesdd, retried with gesvd when gesdd does not converge.
+    """SVD by numpy's LAPACK gesdd, retried with scipy's gesvd when gesdd
+    does not converge.
 
     gesdd fails on some matrices whose singular values cluster (seen on a
     60-by-60 core of a refine iterate with 20 of them at 1.0); gesvd
-    factors those.  Whatever gesdd factors keeps its exact output.
+    factors those, and numpy has no gesvd.  Whatever gesdd factors keeps
+    its exact output.
     """
     try:
-        return la.svd(a)
-    except la.LinAlgError:
+        return np.linalg.svd(a)
+    except np.linalg.LinAlgError:
         return la.svd(a, lapack_driver="gesvd")
 
 
@@ -52,11 +59,15 @@ def topsvd_of_lra(L, rho):
     Thin QR factorizations A = Q_A R_A and B^T = Q_B R_B give
     A B = Q_A (R_A R_B^T) Q_B^T, so the SVD U_W diag(s_W) V_W^T of the k-by-k
     core R_A R_B^T yields the top triplets (Q_A U_W, s_W, Q_B V_W), cut to
-    the leading rho.
+    the leading rho.  A factor with an inf or NaN entry raises
+    PreconditionError.
     """
     _check_ranks(L, rho)
-    Qa, Ra = la.qr(L.A, mode="economic")
-    Qb, Rb = la.qr(L.B.T, mode="economic")
+    for name, factor in (("factor A", L.A), ("factor B", L.B)):
+        if not np.isfinite(factor).all():
+            raise PreconditionError(f"{name} has non-finite entries")
+    Qa, Ra = np.linalg.qr(L.A)
+    Qb, Rb = np.linalg.qr(L.B.T)
     Uw, sw, Vwt = _svd(Ra @ Rb.T)
     return TopSVD(Qa @ Uw[:, :rho], sw[:rho], Qb @ Vwt[:rho].T)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sublra import (RefineConfig, audit_pipeline, audit_refine, bench_csv,
-                    run_bench, spectra, spectra_csv)
+from sublra import (PreconditionError, RefineConfig, audit_pipeline,
+                    audit_refine, bench_csv, run_bench, spectra, spectra_csv)
 from sublra.bench import (BenchSpec, RatioOracle, property_suite,
                           synthetic_input, file_input)
 from sublra.matgen import fast_decay_spectrum, gen_synthetic, slow_decay_spectrum
@@ -92,6 +92,12 @@ def test_spectra_slow_decay_index_22():
     M = gen_synthetic(128, slow_decay_spectrum(128), seed=5)
     top = spectra(M, 25)
     assert top[21] == pytest.approx(1.0 / 9.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("top", [0, -5])
+def test_spectra_rejects_nonpositive_top(top):
+    with pytest.raises(PreconditionError):
+        spectra(np.eye(8), top)
 
 
 def test_spectra_csv_matches_oracle(tmp_path):

@@ -51,6 +51,13 @@ def test_spectra_synthetic_to_stdout(capsys):
     assert out.startswith("index,sigma")
 
 
+@pytest.mark.parametrize("top", ["0", "-5"])
+def test_spectra_rejects_nonpositive_top(top, capsys):
+    assert main(["spectra", "--kind", "slow", "--n", "128", "--top", top]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "top_count" in captured.err
+
+
 def test_refine_with_ratios(matrix_file, tmp_path, capsys):
     path, _ = matrix_file
     out = tmp_path / "report.csv"
@@ -94,6 +101,23 @@ def test_estimate_methods(matrix_file, tmp_path, capsys):
     assert main(["estimate", "--input", str(path), "--method", "sketch",
                  "--sketch-size", "16", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("method,lower_bound")
+
+
+def test_estimate_gaussian_rejects_negative_sizes(matrix_file, capsys):
+    path, _ = matrix_file
+    assert main(["estimate", "--input", str(path), "--method", "gaussian",
+                 "--q", "-1", "--s", "-200"]) == 2
+    assert "q and s must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_refine_overflowing_input_is_precondition(tmp_path, capsys):
+    # entries of +-1e308 are finite, but sums of them in the sketches are not
+    rng = np.random.default_rng(8)
+    path = tmp_path / "huge.mtx"
+    save_matrix(rng.choice([-1e308, 1e308], size=(256, 256)), path)
+    assert main(["refine", "--input", str(path), "--rho", "8"]) == 2
+    assert "sketch" in capsys.readouterr().err
 
 
 def test_cur_writes_factors_and_summary(matrix_file, tmp_path, capsys):

@@ -5,7 +5,8 @@ import scipy.linalg as la
 from sublra import (CountingAccessor, Factored2, PreconditionError,
                     entry_lower_bound, frobenius_confidence_band,
                     gaussian_error_estimate, gen_delta, make_multiplier,
-                    residual_probe, sketch_norm_bounds)
+                    matrix_norm, residual_probe, sketch_norm_bounds)
+from sublra.errest import _operator_norm
 from sublra.sketch import apply_left, apply_right
 
 
@@ -92,6 +93,19 @@ class TestSketchNormBounds:
         est = sketch_norm_bounds(F=self.F, FE=np.zeros((16, 64)))
         assert est.lower_bound == 0.0
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_abridged_operator_norms_are_known(self, side, depth):
+        op = make_multiplier("ahad", 16, 64, depth=depth, seed=depth,
+                             side=side)
+        for kind in ("spectral", "frobenius"):
+            assert _operator_norm(op, kind) == pytest.approx(
+                matrix_norm(op.to_dense(), kind), rel=1e-12, abs=0)
+
+    def test_gaussian_operator_norm_is_computed(self):
+        op = make_multiplier("gaussian", 8, 64, seed=4)
+        assert _operator_norm(op, "spectral") == matrix_norm(op.to_dense())
+
     def test_missing_operator_rejected(self):
         from sublra import DimensionError
 
@@ -124,6 +138,13 @@ class TestGaussianEstimate:
         with pytest.raises(PreconditionError):
             gaussian_error_estimate(CountingAccessor(np.ones((5, 30))),
                                     10, 10, seed=1)
+
+    @pytest.mark.parametrize("q, s", [(-1, -200), (0, 200), (200, 0)])
+    def test_nonpositive_sizes_rejected_before_reading(self, q, s):
+        acc = CountingAccessor(np.ones((300, 300)))
+        with pytest.raises(PreconditionError, match="q and s"):
+            gaussian_error_estimate(acc, q, s, seed=1)
+        assert acc.total_reads == 0
 
     def test_delta_matrix_fools_the_estimator(self):
         # iid assumption violated: a spike outside the sample is invisible

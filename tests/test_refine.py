@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sublra
-from sublra import (CountingAccessor, DimensionError, PreconditionError,
-                    RatioOracle, RefineConfig, materialize, refine,
-                    sketch_rank_r_approx, make_multiplier)
+from sublra import (CountingAccessor, DimensionError, Factored2,
+                    PreconditionError, RatioOracle, RefineConfig, materialize,
+                    recompress, refine, sketch_rank_r_approx, make_multiplier)
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
 from sublra.refine import RankDeficientSketchWarning
 
@@ -53,6 +54,39 @@ def test_subalgorithm_shape_checks():
     with pytest.raises(DimensionError):
         # left sketch must have exactly 2r rows
         sketch_rank_r_approx(np.zeros((8, 32)), np.zeros((64, 5)), F)
+
+
+@pytest.mark.parametrize("bad", ["FE", "EH"])
+def test_subalgorithm_rejects_non_finite_sketch(bad):
+    m, n, r = 64, 48, 4
+    F = make_multiplier("ahad", 2 * r, m, depth=3, seed=5)
+    rng = np.random.default_rng(6)
+    sketches = {"FE": rng.standard_normal((2 * r, n)),
+                "EH": rng.standard_normal((m, r))}
+    sketches[bad][1, 2] = np.inf
+    with pytest.raises(PreconditionError, match=f"sketch {bad}"):
+        sketch_rank_r_approx(sketches["FE"], sketches["EH"], F)
+
+
+def test_refine_runs_without_scipy_linalg(monkeypatch):
+    # the refine path factors on numpy's LAPACK, so products and
+    # factorizations share one BLAS thread pool; scipy's dense
+    # factorizations must not be reached
+    M = gen_synthetic(256, fast_decay_spectrum(256), seed=59)
+    rng = np.random.default_rng(60)
+    L = Factored2(rng.standard_normal((256, 24)), rng.standard_normal((24, 200)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg called on the refine path")
+
+    for name in ("qr", "svd", "svdvals", "pinv"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    for multiplier in ("ahad", "gaussian"):
+        approx, report = refine(CountingAccessor(M),
+                                RefineConfig(rho=8, multiplier=multiplier,
+                                             seed=61))
+        assert approx.rank_bound <= 8 and len(report.records) == 3
+    assert recompress(L, 8).rank_bound == 8
 
 
 def test_refine_recovers_exact_rank_input():

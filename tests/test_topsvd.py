@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from sublra import (DimensionError, Factored2, QRPFallbackWarning,
-                    materialize, recompress, topsvd_of_lra, topsvd_of_lra_qrp)
+from sublra import (DimensionError, Factored2, PreconditionError,
+                    QRPFallbackWarning, materialize, recompress, topsvd_of_lra,
+                    topsvd_of_lra_qrp)
 from sublra.topsvd import _svd, topsvd_flop_estimate
 
 
@@ -68,6 +69,16 @@ def test_projector_matches_oracle_when_gap():
     S = topsvd_of_lra(L, rho)
     U_o = la.svd(materialize(L))[0][:, :rho]
     assert np.linalg.norm(S.U @ S.U.T - U_o @ U_o.T) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", ["A", "B"])
+def test_non_finite_factor_rejected(bad):
+    rng = np.random.default_rng(22)
+    factors = {"A": rng.standard_normal((40, 6)),
+               "B": rng.standard_normal((6, 30))}
+    factors[bad][3, 1] = -np.inf
+    with pytest.raises(PreconditionError, match=f"factor {bad}"):
+        topsvd_of_lra(Factored2(factors["A"], factors["B"]), 3)
 
 
 def test_rho_out_of_range():
