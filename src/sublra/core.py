@@ -7,6 +7,11 @@ entry read through it, which is how the sublinear-access claims of the
 sketching pipeline are measured rather than trusted.  It records reads in a
 sparse ledger (a row set, a column set and a list of sampled entries) of
 O(m + n + sampled entries) memory, so counting costs no m-by-n mask.
+
+``spectral_norm`` is a Golub-Kahan-Lanczos bidiagonalization written in
+numpy, and ``RatioOracle`` takes its denominator from ``numpy.linalg.svd``,
+so the error-ratio oracle runs on the same OpenBLAS thread pool as the
+refinement; only ``truncate_svd`` calls scipy.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
-from scipy.sparse.linalg import svds
 
 
 class DimensionError(ValueError):
@@ -304,33 +308,94 @@ class ErrorRatio(NamedTuple):
     degenerate: bool
 
 
-def spectral_norm(D):
-    """Largest singular value of a dense matrix, by Lanczos.
+LANCZOS_BASIS = 32  # Krylov vectors kept per side before a restart
+LANCZOS_MAX_RESTARTS = 100
 
-    ARPACK starts from a fixed seeded vector, so repeated calls on the same
-    matrix return the same bits.  An all-zero matrix (where ARPACK cannot
-    start) and a single row or column (where svds has no k=1 case) are
-    answered directly.
+
+def _orthogonalize(x, Q):
+    """Project x off the orthonormal rows of Q in place, by classical
+    Gram-Schmidt applied twice (one pass leaves rounding-level components)."""
+    if Q.shape[0]:
+        x -= (Q @ x) @ Q
+        x -= (Q @ x) @ Q
+
+
+def spectral_norm(D):
+    """Largest singular value of a dense matrix, by Golub-Kahan-Lanczos.
+
+    Bidiagonalizes D from a fixed seed-0 normal start vector in the smaller
+    dimension, reorthogonalizing both Krylov bases in full.  A basis holds
+    at most LANCZOS_BASIS vectors; when it fills, the run restarts from the
+    top right Ritz vector.  It stops when the top Ritz triple's residual
+    beta_j |p_j| (the last entry p_j of the bidiagonal's top left singular
+    vector) is at most machine epsilon times the Ritz value theta, ARPACK's
+    ``tol=0`` test, and returns theta.  The start vector is fixed, so
+    repeated calls on the same matrix return the same bits, and all the
+    work runs on numpy's BLAS, the pool that serves refine.  An all-zero
+    matrix (where Lanczos cannot start) and a single row or column are
+    answered directly.  Raises ``numpy.linalg.LinAlgError`` when the start
+    vector lies in D's null space or the test still fails after
+    LANCZOS_MAX_RESTARTS restarts.
     """
     if min(D.shape) == 1:
         return float(np.linalg.norm(D))
     if not D.any():
         return 0.0
-    v0 = np.random.default_rng(0).standard_normal(min(D.shape))
-    return float(svds(D, k=1, tol=0, v0=v0,
-                      return_singular_vectors=False)[0])
+    if D.shape[0] < D.shape[1]:
+        D = D.T
+    m, n = D.shape
+    k = min(LANCZOS_BASIS, n)
+    U = np.empty((k, m))
+    V = np.empty((k, n))
+    # the bidiagonal: D v_j = alpha_j u_j + beta_{j-1} u_{j-1} and
+    # D^T u_j = alpha_j v_j + beta_j v_{j+1}, alpha_j = B[j, j] and
+    # beta_j = B[j, j + 1]
+    B = np.zeros((k, k + 1))
+    v = np.random.default_rng(0).standard_normal(n)
+    eps = np.finfo(np.float64).eps
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        V[0] = v / np.linalg.norm(v)
+        for j in range(k):
+            u = D @ V[j]
+            if j:
+                u -= B[j - 1, j] * U[j - 1]
+            _orthogonalize(u, U[:j])
+            B[j, j] = np.linalg.norm(u)
+            if B[j, j] == 0.0:
+                if not j:
+                    raise np.linalg.LinAlgError(
+                        "Lanczos start vector lies in the null space")
+                # D maps span V[:j + 1] into span U[:j]: an exact invariant
+                # pair, whose top singular value is that of B[:j, :j + 1]
+                return float(np.linalg.norm(B[:j, :j + 1], 2))
+            U[j] = u / B[j, j]
+            w = D.T @ U[j]
+            w -= B[j, j] * V[j]
+            _orthogonalize(w, V[:j + 1])
+            B[j, j + 1] = np.linalg.norm(w)
+            P, s, Qt = np.linalg.svd(B[:j + 1, :j + 1])
+            if B[j, j + 1] * abs(P[j, 0]) <= eps * s[0]:
+                return float(s[0])
+            if j + 1 < k:
+                V[j + 1] = w / B[j, j + 1]
+        v = Qt[0] @ V
+    raise np.linalg.LinAlgError(
+        f"Lanczos did not converge in {LANCZOS_MAX_RESTARTS} restarts")
 
 
 class RatioOracle:
     """Spectral-error ratio ||M - L||_2 / ||M - M_rho||_2 against a fixed M.
 
-    The denominator sigma_{rho+1}(M) comes from one full SVD of M when the
-    oracle is built.  Each call forms the dense difference M - L once and
-    takes its top singular value by Lanczos (``svds`` with k=1, tol=0),
-    which agrees with a full SVD of the difference to rounding.  When M has
-    numerical rank <= rho (sigma_{rho+1} < DEGENERATE_GAP sigma_1) the ratio
-    is undefined: ``degenerate`` is True and calls return the absolute
-    spectral error.  Calls read the raw matrix, never an accessor.
+    The denominator sigma_{rho+1}(M) comes from one full SVD of M (numpy's
+    gesdd) when the oracle is built.  Each call forms the dense difference
+    M - L once and takes its top singular value by ``spectral_norm``'s
+    Golub-Kahan-Lanczos, which agrees with a full SVD of the difference to
+    rounding.  All of it runs on numpy's BLAS, the pool refine uses, so an
+    oracle call between refine iterations leaves no other pool spinning.
+    When M has numerical rank <= rho (sigma_{rho+1} < DEGENERATE_GAP
+    sigma_1) the ratio is undefined: ``degenerate`` is True and calls return
+    the absolute spectral error.  Calls read the raw matrix, never an
+    accessor.
     """
 
     def __init__(self, M, rho):
@@ -339,7 +404,7 @@ class RatioOracle:
             raise DimensionError(f"rho={rho} out of range for shape {M.shape}")
         self.M = M
         self.rho = rho
-        self.sigma = la.svdvals(M)
+        self.sigma = np.linalg.svd(M, compute_uv=False)
         self.tau = float(self.sigma[rho]) if rho < min(M.shape) else 0.0
         self.degenerate = self.tau < DEGENERATE_GAP * float(self.sigma[0])
 

@@ -111,6 +111,9 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if sketch_size < 1:
+        raise PreconditionError(
+            f"sketch_size must be positive, got {sketch_size}")
     if kind == "gaussian":
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((sketch_size, dim))

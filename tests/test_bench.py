@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
-from sublra import (PreconditionError, RefineConfig, audit_pipeline,
-                    audit_refine, bench_csv, run_bench, spectra, spectra_csv)
+from sublra import (CountingAccessor, PreconditionError, RefineConfig,
+                    audit_pipeline, audit_refine, bench_csv, refine,
+                    run_bench, spectra, spectra_csv)
 from sublra.bench import (BenchSpec, RatioOracle, property_suite,
                           synthetic_input, file_input)
 from sublra.matgen import fast_decay_spectrum, gen_synthetic, slow_decay_spectrum
@@ -68,6 +71,27 @@ def test_file_input(tmp_path):
     binput = file_input(str(path), rho=4)
     assert np.array_equal(binput.matrix, M)
     assert binput.label == str(path)
+
+
+def test_oracle_and_bench_run_without_scipy_blas(monkeypatch):
+    # the oracle's SVD and Lanczos run on numpy's BLAS, like refine, so a
+    # bench op never wakes scipy's thread pool
+    binput = synthetic_input("fast", 256, rho=8, seed=61)
+    M = binput.matrix
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy BLAS called by the oracle or run_bench")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", forbidden)
+    for name in ("svdvals", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    oracle = RatioOracle(M, 8)
+    _, report = refine(CountingAccessor(M), RefineConfig(rho=8, seed=62),
+                       evaluator=oracle)
+    assert all(rec.ratio_after >= 1.0 - 1e-9 for rec in report.records)
+    (row,) = run_bench(BenchSpec(inputs=[binput], multipliers=["ahad"],
+                                 trials=2, seed=63))
+    assert row.trials == 2 and len(row.after) == row.iters - 1
 
 
 def test_ratio_oracle_degenerate():

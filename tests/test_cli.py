@@ -110,6 +110,14 @@ def test_estimate_gaussian_rejects_negative_sizes(matrix_file, capsys):
     assert "q and s must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_estimate_sketch_rejects_nonpositive_size(matrix_file, size, capsys):
+    path, _ = matrix_file
+    assert main(["estimate", "--input", str(path), "--method", "sketch",
+                 "--sketch-size", size]) == 2
+    assert "sketch_size must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_refine_overflowing_input_is_precondition(tmp_path, capsys):
     # entries of +-1e308 are finite, but sums of them in the sketches are not

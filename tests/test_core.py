@@ -8,7 +8,8 @@ from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, RatioOracle, RefineConfig, TopSVD,
                     as_dense, lra_sum, materialize, matrix_norm, refine,
                     relative_error_ratio, truncate_svd)
-from sublra.core import FINITE_CHECK_BLOCK
+from sublra import core
+from sublra.core import FINITE_CHECK_BLOCK, spectral_norm
 from sublra.matgen import (fast_decay_spectrum, gen_synthetic,
                            slow_decay_spectrum)
 
@@ -114,6 +115,59 @@ def test_lra_sum_rank_grows():
     L2 = Factored2(v, np.array([[1.0, -1.0, 1.0, -1.0]]))
     s = la.svd(materialize(lra_sum(L1, L2)), compute_uv=False)
     assert (s > 1e-12).sum() == 2
+
+
+def _spectral_norm_inputs():
+    rng = np.random.default_rng(71)
+    return {
+        "tall": rng.standard_normal((300, 40)),
+        "wide": rng.standard_normal((40, 300)),
+        "rank1": np.outer(rng.standard_normal(200), rng.standard_normal(150)),
+        # L = 0 on the fast-decay input: a 20-fold top cluster at 1.0
+        "cluster": gen_synthetic(256, fast_decay_spectrum(256), seed=5),
+        "tiny-noise": 1e-11 * rng.standard_normal((512, 512)),
+    }
+
+
+@pytest.mark.parametrize("name", ["tall", "wide", "rank1", "cluster",
+                                  "tiny-noise"])
+def test_spectral_norm_agrees_with_full_svd(name):
+    D = _spectral_norm_inputs()[name]
+    expected = la.svdvals(D)[0]
+    got = spectral_norm(D)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+    assert spectral_norm(D) == got  # same bits on a repeat
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 5)])
+def test_spectral_norm_invariant_breakdown(shape):
+    # one nonzero entry: the second Lanczos step's left vector
+    # orthogonalizes to exactly zero, an exact invariant pair
+    D = np.zeros(shape)
+    D[0, 0] = -2.0
+    assert spectral_norm(D) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_spectral_norm_basis_stays_bounded():
+    # the Gaussian needs over a hundred Lanczos steps; kept in full, the
+    # two bases alone would take several MB
+    D = np.random.default_rng(72).standard_normal((2048, 2048))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectral_norm(D)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_spectral_norm_gives_up_after_restart_limit(monkeypatch):
+    # 300 x 40 fills the 32-vector basis once before it converges
+    D = _spectral_norm_inputs()["tall"]
+    monkeypatch.setattr(core, "LANCZOS_MAX_RESTARTS", 0)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        spectral_norm(D)
 
 
 def test_relative_error_ratio_at_optimum():

@@ -55,6 +55,14 @@ def test_construction_preconditions():
         make_multiplier("fourier", 8, 64, seed=0)
 
 
+@pytest.mark.parametrize("kind", ["ahad", "gaussian"])
+@pytest.mark.parametrize("size", [0, -3])
+def test_nonpositive_sketch_size_rejected(kind, size):
+    with pytest.raises(PreconditionError,
+                       match="sketch_size must be positive"):
+        make_multiplier(kind, size, 64, depth=3, seed=0)
+
+
 def test_apply_left_row_sampling_at_depth_zero():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((64, 10))
