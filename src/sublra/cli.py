@@ -9,7 +9,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .core import (CountingAccessor, DimensionError, PreconditionError,
+from .core import (CountingAccessor, PreconditionError, RatioOracle,
                    spectral_norm, truncate_svd)
 from .cur import nucleus_norm_bound, reconstruction_error, svd_to_cur
 from .errest import (entry_lower_bound, gaussian_error_estimate,
@@ -22,23 +22,22 @@ from .sketch import apply_left, apply_right, make_multiplier
 QUICK_TRIALS = 20
 
 
-def _add_input_args(p, synthetic=True):
+def _add_input_args(p):
     p.add_argument("--input", help="Matrix Market input file")
     p.add_argument("--pad", type=int, default=None,
                    help="zero-pad a file input up to this square size")
-    if synthetic:
-        p.add_argument("--kind", choices=["fast", "slow"],
-                       help="synthetic spectrum kind (alternative to --input)")
-        p.add_argument("--n", type=int, default=1024,
-                       help="synthetic matrix size (power of two)")
-        p.add_argument("--gen-seed", type=int, default=12345,
-                       help="seed of the synthetic matrix factors")
+    p.add_argument("--kind", choices=["fast", "slow"],
+                   help="synthetic spectrum kind (alternative to --input)")
+    p.add_argument("--n", type=int, default=1024,
+                   help="synthetic matrix size (power of two)")
+    p.add_argument("--gen-seed", type=int, default=12345,
+                   help="seed of the synthetic matrix factors")
 
 
 def _resolve_input(args):
     if args.input:
         return load_input(args.input, pad=args.pad), args.input
-    if getattr(args, "kind", None):
+    if args.kind:
         spec = spectrum_by_name(args.kind, args.n)
         return gen_synthetic(args.n, spec, args.gen_seed), args.kind
     raise PreconditionError("give --input PATH or --kind {fast,slow}")
@@ -76,7 +75,7 @@ def cmd_refine(args):
                           multiplier=args.multiplier, depth=args.depth,
                           seed=args.seed)
     acc = CountingAccessor(M)
-    evaluator = bench_mod.RatioOracle(M, args.rho) if args.ratios else None
+    evaluator = RatioOracle(M, args.rho) if args.ratios else None
     approx, report = refine(acc, config, evaluator=evaluator)
     print(f"input: {label} shape {M.shape}")
     print(report.summary())
@@ -266,15 +265,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # MatrixMarketError, DimensionError and PreconditionError all subclass
+    # ValueError, so the I/O handler has to come first
     try:
         return args.func(args)
-    except (MatrixMarketError,) as exc:
+    except (MatrixMarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DimensionError, PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .core import (DimensionError, PreconditionError, TopSVD, materialize,
-                   spectral_norm)
+from .core import DimensionError, PreconditionError, TopSVD, materialize
 
 SIGMA_FLOOR = 1e-14
 
@@ -103,9 +102,6 @@ def svd_to_cur(S, k=None, l=None):
     return CURDecomp(C=C, N=N, R=R, row_indices=I, col_indices=J)
 
 
-def reconstruction_error(S, decomp, kind="frobenius"):
-    """Norm of U Sigma V^T - C N R, for reporting; spectral by Lanczos."""
-    diff = materialize(S) - decomp.materialize()
-    if kind == "frobenius":
-        return float(np.linalg.norm(diff))
-    return spectral_norm(diff)
+def reconstruction_error(S, decomp):
+    """Frobenius norm of U Sigma V^T - C N R, for reporting."""
+    return float(np.linalg.norm(materialize(S) - decomp.materialize()))

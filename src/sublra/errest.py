@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv
 
 from .core import CountingAccessor, DimensionError, PreconditionError, matrix_norm
 
@@ -89,22 +89,15 @@ def sketch_norm_bounds(F=None, H=None, FE=None, EH=None, FEH=None,
     """
     ratios = []
     size = 0
-    if FE is not None:
-        if F is None:
-            raise DimensionError("FE given without F")
-        ratios.append(matrix_norm(FE, kind) / _operator_norm(F, kind))
-        size += np.asarray(FE).size
-    if EH is not None:
-        if H is None:
-            raise DimensionError("EH given without H")
-        ratios.append(matrix_norm(EH, kind) / _operator_norm(H, kind))
-        size += np.asarray(EH).size
-    if FEH is not None:
-        if F is None or H is None:
-            raise DimensionError("FEH given without F and H")
-        ratios.append(matrix_norm(FEH, kind)
-                      / (_operator_norm(F, kind) * _operator_norm(H, kind)))
-        size += np.asarray(FEH).size
+    for name, sketch, ops in (("FE", FE, {"F": F}), ("EH", EH, {"H": H}),
+                              ("FEH", FEH, {"F": F, "H": H})):
+        if sketch is None:
+            continue
+        if any(op is None for op in ops.values()):
+            raise DimensionError(f"{name} given without {' and '.join(ops)}")
+        scale = np.prod([_operator_norm(op, kind) for op in ops.values()])
+        ratios.append(matrix_norm(sketch, kind) / scale)
+        size += np.asarray(sketch).size
     if not ratios:
         raise PreconditionError("no sketches given")
     return ErrorEstimate(lower_bound=float(max(ratios)),
@@ -115,8 +108,9 @@ def frobenius_confidence_band(sample_size, confidence):
     """Multiplicative (lo, hi) such that truth/estimate lies in [lo, hi]
     with the requested probability under the i.i.d. Gaussian model."""
     alpha = 1.0 - confidence
-    q_hi = stats.chi2.ppf(1.0 - alpha / 2.0, df=sample_size)
-    q_lo = stats.chi2.ppf(alpha / 2.0, df=sample_size)
+    # the chi-square quantile: chi2.ppf(p, df) is 2 gammaincinv(df/2, p)
+    q_hi = 2.0 * gammaincinv(sample_size / 2.0, 1.0 - alpha / 2.0)
+    q_lo = 2.0 * gammaincinv(sample_size / 2.0, alpha / 2.0)
     return (float(np.sqrt(sample_size / q_hi)),
             float(np.sqrt(sample_size / q_lo)))
 

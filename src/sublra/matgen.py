@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .core import DimensionError, PreconditionError, as_dense
+from .core import DimensionError, PreconditionError
 from .mmio import load_matrix, pad_matrix
 
 PLATEAU = 20      # leading singular values pinned at 1
@@ -95,8 +95,9 @@ def gen_delta(m, n, i, j):
 
 
 def load_input(path, pad=None):
-    """Read a matrix file, optionally zero-padding it to pad-by-pad."""
+    """Read a matrix file, optionally zero-padding it to pad-by-pad.
+
+    Both ``load_matrix`` and ``pad_matrix`` return validated float64 arrays.
+    """
     M = load_matrix(path)
-    if pad is not None:
-        M = pad_matrix(M, pad)
-    return as_dense(M)
+    return M if pad is None else pad_matrix(M, pad)

@@ -83,6 +83,8 @@ def load_matrix(path):
             f"dimension overflow: {m}x{n} exceeds {MAX_ENTRIES} entries", sizeno)
     if sym == "symmetric" and m != n:
         raise MatrixMarketError("symmetric matrix must be square", sizeno)
+    if fmt == "coordinate" and sizes[2] < 0:
+        raise MatrixMarketError("entry count must be nonnegative", sizeno)
 
     entries = body[1:]
     M = np.zeros((m, n))
@@ -141,14 +143,14 @@ def save_matrix(M, path, fmt="array", comment=""):
                 fh.write(f"%{piece}\n")
         if fmt == "array":
             fh.write(f"{m} {n}\n")
-            for j in range(n):
-                for i in range(m):
-                    fh.write(f"{M[i, j]:.17g}\n")
+            fh.writelines(f"{v:.17g}\n" for v in M.T.ravel().tolist())
         else:
             rows, cols = np.nonzero(M)
             fh.write(f"{m} {n} {rows.size}\n")
-            for i, j in zip(rows, cols):
-                fh.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+            fh.writelines(
+                f"{i + 1} {j + 1} {v:.17g}\n"
+                for i, j, v in zip(rows.tolist(), cols.tolist(),
+                                   M[rows, cols].tolist()))
 
 
 def pad_matrix(M, size):

@@ -3,8 +3,10 @@
 The abridged operator is built from d levels of the Hadamard butterfly
 applied to the identity: H(0) = I_n and
 H(i) = 2^{-1/2} [[H(i-1), H(i-1)], [H(i-1), -H(i-1)]] on half-size blocks,
-which works out to 2^{-d/2} (Hadamard_{2^d} kron I_{n/2^d}).  The operator
-keeps r' uniformly sampled distinct rows of H(d), multiplied on the right by
+which works out to 2^{-d/2} (Hadamard_{2^d} kron I_{n/2^d}), Hadamard_{2^d}
+being the Sylvester-ordered matrix of ``scipy.linalg.hadamard`` (entry (i, j)
+is (-1)^popcount(i & j)) that the signs are read from.  The operator keeps
+r' uniformly sampled distinct rows of H(d), multiplied on the right by
 a seeded random +-1 diagonal for cheap mixing.  Every row then carries
 exactly 2^d nonzeros of magnitude 2^{-d/2} and the rows stay orthonormal,
 so a left application touches at most r' 2^d rows of the target: the access
@@ -25,15 +27,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from .core import CountingAccessor, DimensionError, Factored2, PreconditionError
-
-_POPCOUNT_TABLE = np.array([bin(x).count("1") for x in range(1 << 16)],
-                           dtype=np.int64)
-
-
-def _popcount(a):
-    return _POPCOUNT_TABLE[a & 0xFFFF] + _POPCOUNT_TABLE[(a >> 16) & 0xFFFF]
 
 
 @dataclass
@@ -147,27 +143,38 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
         rows = rng.choice(dim, size=sketch_size, replace=False)
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     positions = t[None, :] * b + (rows % b)[:, None]
-    hadamard_signs = 1 - 2 * (_popcount((rows // b)[:, None] & t[None, :]) & 1)
-    values = (2.0 ** (-depth / 2.0)) * hadamard_signs * signs[positions]
+    values = ((2.0 ** (-depth / 2.0)) * hadamard(block)[rows // b]
+              * signs[positions])
     return SketchOperator("ahad", side, sketch_size, dim, depth, seed,
                           positions=positions, values=values, pool=pool)
 
 
-def _apply_wide(op, X, positions=None):
-    """Wide-form product W @ X for a dense X with op.dim rows.
+def _oriented(op, X, positions=None):
+    """The operator's product with a dense X in its declared orientation:
+    W @ X for a left operator, X @ W^T for a right one, W being the wide
+    r'-by-dim form.
 
-    For an abridged operator, ``positions`` may index the rows of a gathered
-    block X in place of ``op.positions``, which index the rows of the full
-    target.
+    For an abridged operator, ``positions`` may index the rows (left) or
+    columns (right) of a gathered block X in place of ``op.positions``,
+    which index those of the full target.
     """
+    left = op.side == "left"
     if op.kind == "gaussian":
-        return op.dense @ X
+        return op.dense @ X if left else X @ op.dense.T
     if positions is None:
         positions = op.positions
-    out = np.zeros((op.sketch_size, X.shape[1]))
+    Y = X if left else X.T
+    out = np.zeros((op.sketch_size, Y.shape[1]))
     for t in range(positions.shape[1]):
-        out += op.values[:, t:t + 1] * X[positions[:, t], :]
-    return out
+        out += op.values[:, t:t + 1] * Y[positions[:, t], :]
+    return out if left else out.T
+
+
+def _check_dim(op, shape, prefix=""):
+    axis = 0 if op.side == "left" else 1
+    if shape[axis] != op.dim:
+        raise DimensionError(f"operator dim {op.dim} != {prefix}"
+                             f"{('rows', 'cols')[axis]} {shape[axis]}")
 
 
 def apply_dense(op, X):
@@ -177,13 +184,22 @@ def apply_dense(op, X):
     this is the path for sketching already-small dense intermediates.
     """
     X = np.asarray(X, dtype=np.float64)
-    if op.side == "left":
-        if X.shape[0] != op.dim:
-            raise DimensionError(f"operator dim {op.dim} != rows {X.shape[0]}")
-        return _apply_wide(op, X)
-    if X.shape[1] != op.dim:
-        raise DimensionError(f"operator dim {op.dim} != cols {X.shape[1]}")
-    return _apply_wide(op, X.T).T
+    _check_dim(op, X.shape)
+    return _oriented(op, X)
+
+
+def _read_sketch(op, M, side):
+    """Body of apply_left and apply_right: the one place sketches read M."""
+    if op.side != side:
+        raise DimensionError(f"apply_{side} needs a {side}-side operator")
+    if not isinstance(M, CountingAccessor):
+        raise TypeError(f"apply_{side} reads through a CountingAccessor")
+    _check_dim(op, M.shape, "matrix ")
+    if op.kind == "gaussian":
+        return _oriented(op, M.read_full())
+    unique = np.unique(op.positions)
+    read = M.read_rows if side == "left" else M.read_cols
+    return _oriented(op, read(unique), np.searchsorted(unique, op.positions))
 
 
 def apply_left(F, M):
@@ -192,43 +208,18 @@ def apply_left(F, M):
     Abridged operators read only the rows of M in the union of row supports
     (at most r' 2^d of them); Gaussian operators read everything.
     """
-    if F.side != "left":
-        raise DimensionError("apply_left needs a left-side operator")
-    if not isinstance(M, CountingAccessor):
-        raise TypeError("apply_left reads through a CountingAccessor")
-    if F.dim != M.rows:
-        raise DimensionError(f"operator dim {F.dim} != matrix rows {M.rows}")
-    if F.kind == "gaussian":
-        return F.dense @ M.read_full()
-    unique = np.unique(F.positions)
-    return _apply_wide(F, M.read_rows(unique),
-                       np.searchsorted(unique, F.positions))
+    return _read_sketch(F, M, "left")
 
 
 def apply_right(M, H):
     """Sketch M @ H through a CountingAccessor; column mirror of apply_left."""
-    if H.side != "right":
-        raise DimensionError("apply_right needs a right-side operator")
-    if not isinstance(M, CountingAccessor):
-        raise TypeError("apply_right reads through a CountingAccessor")
-    if H.dim != M.cols:
-        raise DimensionError(f"operator dim {H.dim} != matrix cols {M.cols}")
-    if H.kind == "gaussian":
-        return M.read_full() @ H.dense.T
-    unique = np.unique(H.positions)
-    return _apply_wide(H, M.read_cols(unique).T,
-                       np.searchsorted(unique, H.positions)).T
+    return _read_sketch(H, M, "right")
 
 
 def apply_to_factored(op, L):
     """Sketch of a factored form: (F A) B or A (B H), zero accessor reads."""
     if not isinstance(L, Factored2):
         raise TypeError("apply_to_factored expects a Factored2")
-    m, n = L.shape
     if op.side == "left":
-        if op.dim != m:
-            raise DimensionError(f"operator dim {op.dim} != rows {m}")
-        return _apply_wide(op, L.A) @ L.B
-    if op.dim != n:
-        raise DimensionError(f"operator dim {op.dim} != cols {n}")
-    return L.A @ _apply_wide(op, L.B.T).T
+        return apply_dense(op, L.A) @ L.B
+    return L.A @ apply_dense(op, L.B)

@@ -80,6 +80,15 @@ def test_coordinate_index_out_of_range(tmp_path):
         load_matrix(path)
 
 
+def test_negative_entry_count_names_size_line(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "% a comment\n2 2 -1\n1 1 1.0\n")
+    with pytest.raises(MatrixMarketError, match="line 3: entry count") as exc:
+        load_matrix(path)
+    assert exc.value.line == 3
+
+
 def test_value_count_mismatch(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n"

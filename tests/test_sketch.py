@@ -38,6 +38,42 @@ def test_depth_zero_is_signed_row_sample():
     assert np.allclose(np.abs(W[W != 0]), 1.0)
 
 
+# make_multiplier("ahad", 3, 16, depth=d, seed=5, pool=pool): the exact
+# positions and value signs (values are 2^{-d/2} times them), pinned so that
+# any change to the row draw, the +-1 diagonal or the Hadamard sign ordering
+# shows up as a failure, not only as a different but valid operator.
+GOLDEN_OPERATORS = [
+    (0, None, [[12], [9], [0]], [[-1], [-1], [1]]),
+    (0, (9, 4), [[2], [7], [9]], [[-1], [1], [-1]]),
+    (1, None, [[4, 12], [1, 9], [0, 8]], [[-1, 1], [1, 1], [1, -1]]),
+    (1, (9, 2), [[7, 15], [3, 11], [3, 11]], [[1, -1], [1, 1], [1, -1]]),
+    (2, None, [[0, 4, 8, 12], [1, 5, 9, 13], [0, 4, 8, 12]],
+     [[1, 1, 1, -1], [1, -1, 1, 1], [1, -1, -1, -1]]),
+    (2, (9, 1), [[3, 7, 11, 15]] * 3,
+     [[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1]]),
+    (3, None, [[0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15],
+               [0, 2, 4, 6, 8, 10, 12, 14]],
+     [[1, -1, 1, 1, 1, 1, -1, 1], [1, 1, -1, 1, 1, 1, 1, 1],
+      [1, -1, -1, -1, -1, -1, -1, 1]]),
+    (3, (9, 1), [[0, 2, 4, 6, 8, 10, 12, 14]] * 3,
+     [[1, 1, -1, 1, 1, -1, 1, 1], [1, -1, -1, -1, 1, 1, 1, -1],
+      [1, -1, -1, -1, -1, -1, -1, 1]]),
+]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("depth, pool, positions, signs", GOLDEN_OPERATORS)
+def test_abridged_golden_draws(side, depth, pool, positions, signs):
+    op = make_multiplier("ahad", 3, 16, depth=depth, seed=5, side=side,
+                         pool=pool)
+    assert op.positions.tolist() == positions
+    assert np.array_equal(op.values,
+                          2.0 ** (-depth / 2.0) * np.array(signs, float))
+    suffix = "" if pool is None else ";pool=%d:%d" % pool
+    assert op.descriptor() == (f"ahad;side={side};size=3;dim=16;"
+                               f"depth={depth};seed=5{suffix}")
+
+
 def test_gaussian_determinism():
     a = make_multiplier("gaussian", 40, 1024, seed=10)
     b = make_multiplier("gaussian", 40, 1024, seed=10)
