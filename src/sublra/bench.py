@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (CountingAccessor, Factored2, PreconditionError,
-                   RatioOracle, materialize, spectral_norm, truncate_svd)
+                   RatioOracle, as_dense, materialize, spectral_norm,
+                   truncate_svd)
 from .cur import nucleus_norm_bound, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
 from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
@@ -159,10 +160,14 @@ def bench_csv(rows):
 
 
 def spectra(M, top_count=50):
-    """Leading singular values of a dense matrix, largest first."""
+    """Leading singular values of a dense matrix, largest first.
+
+    The matrix is validated by ``as_dense``: an empty one raises
+    DimensionError and a non-finite entry PreconditionError.
+    """
     if top_count < 1:
         raise PreconditionError(f"top_count must be positive, got {top_count}")
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(as_dense(M), compute_uv=False)
     return s[:min(top_count, s.size)]
 
 
@@ -214,6 +219,9 @@ def audit_pipeline(m, n, run, pipeline="custom"):
     see identical inputs, so their outputs match and at least one of them
     misses its target by spectral norm 1/2 or more.
     """
+    if m < 1 or n < 1:
+        raise PreconditionError(
+            f"audit shape must be positive, got m={m}, n={n}")
     zero_acc = CountingAccessor(np.zeros((m, n)))
     out_zero = np.asarray(run(zero_acc), dtype=np.float64)
     witness = zero_acc.first_unaccessed()
@@ -282,22 +290,18 @@ def property_suite(M, rho, seed=0):
 
     acc = CountingAccessor(M)
     config = RefineConfig(rho=rho, max_iters=3, seed=seed)
-    approx, report = refine(acc, config)
+    approx, _ = refine(acc, config)
     err = float(np.linalg.norm(M - materialize(approx)))
     e0 = float(np.linalg.norm(M))
     check("refine-progress", err < e0,
           f"Frobenius error {err:.3e} from {e0:.3e}")
     check("refine-rank-cap", approx.rank_bound <= rho,
           f"final rank {approx.rank_bound}")
-    # per-iteration sketch footprint; saturates (and proves nothing) when the
-    # bound reaches the full matrix
-    ranks = [0] + [rec.rank_after for rec in report.records[:-1]]
-    bound = sum((2 ** config.depth) * (2 * (rk + rho) * n + (rk + rho) * m)
-                for rk in ranks)
-    ok = acc.distinct_accessed <= bound
-    if bound < 0.9 * m * n:
-        ok = ok and acc.distinct_accessed < m * n
-    check("refine-access-bound", ok,
+    # the run's pooled budget: F reads the rows of 2 r_max classes and H the
+    # columns of r_max classes, 2^d each, r_max = 2 rho
+    r_max = 2 * rho
+    bound = 2 ** config.depth * (2 * r_max * n + r_max * m)
+    check("refine-access-bound", acc.distinct_accessed <= bound,
           f"{acc.distinct_accessed} of {m * n} entries read, bound {bound}")
 
     cur = svd_to_cur(S)

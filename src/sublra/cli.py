@@ -163,7 +163,7 @@ def cmd_cur(args):
 
 
 def cmd_audit(args):
-    m = args.m if args.m else args.n
+    m = args.n if args.m is None else args.m
     config = RefineConfig(rho=args.rho, max_iters=args.iters,
                           multiplier=args.multiplier, depth=args.depth,
                           seed=args.seed)

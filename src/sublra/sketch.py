@@ -4,9 +4,10 @@ The abridged operator is built from d levels of the Hadamard butterfly
 applied to the identity: H(0) = I_n and
 H(i) = 2^{-1/2} [[H(i-1), H(i-1)], [H(i-1), -H(i-1)]] on half-size blocks,
 which works out to 2^{-d/2} (Hadamard_{2^d} kron I_{n/2^d}), Hadamard_{2^d}
-being the Sylvester-ordered matrix of ``scipy.linalg.hadamard`` (entry (i, j)
-is (-1)^popcount(i & j)) that the signs are read from.  The operator keeps
-r' uniformly sampled distinct rows of H(d), multiplied on the right by
+being the d-fold Kronecker power of [[1, 1], [1, -1]] (Sylvester order), so
+its entry (i, j) is (-1)^popcount(i & j).  The signs are computed from that
+parity on the sampled rows only; no 2^d-by-2^d table is built.  The operator
+keeps r' uniformly sampled distinct rows of H(d), multiplied on the right by
 a seeded random +-1 diagonal for cheap mixing.  Every row then carries
 exactly 2^d nonzeros of magnitude 2^{-d/2} and the rows stay orthonormal,
 so a left application touches at most r' 2^d rows of the target: the access
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .core import CountingAccessor, DimensionError, Factored2, PreconditionError
 
@@ -143,8 +143,9 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
         rows = rng.choice(dim, size=sketch_size, replace=False)
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     positions = t[None, :] * b + (rows % b)[:, None]
-    values = ((2.0 ** (-depth / 2.0)) * hadamard(block)[rows // b]
-              * signs[positions])
+    # bitwise_count gives uint8, which 1 - 2 * parity would wrap to 255
+    parity = np.bitwise_count((rows // b)[:, None] & t).astype(np.int64) & 1
+    values = (2.0 ** (-depth / 2.0)) * (1 - 2 * parity) * signs[positions]
     return SketchOperator("ahad", side, sketch_size, dim, depth, seed,
                           positions=positions, values=values, pool=pool)
 

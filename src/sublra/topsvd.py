@@ -4,11 +4,13 @@
 A @ B to a k-by-k core, whose SVD is composed with the two orthonormal
 bases.  ``recompress`` truncates a factored iterate to rank rho through it.
 ``topsvd_of_lra_qrp`` uses pivoted QR factorizations instead and truncates
-the core to rho-by-rho before its SVD; it is an approximation whose quality
-rests on the pivoting seeing the decay in *both* factors, which holds for
-LRA-shaped inputs where the inner coordinates carry the decay, but can break
-when one factor is flat (e.g. orthonormal).  Both cost O((m + n) k^2) flops,
-superfast relative to the m-by-n product whenever k^2 << min(m, n).
+the core to rho-by-rho before its SVD, permuting the triangular factors by
+indexing with the pivot order, not by permutation matrices.  It is an
+approximation whose quality rests on the pivoting seeing the decay in *both*
+factors, which holds for LRA-shaped inputs where the inner coordinates carry
+the decay, but can break when one factor is flat (e.g. orthonormal).  Both
+cost O((m + n) k^2) flops, superfast relative to the m-by-n product whenever
+k^2 << min(m, n).
 
 The exact path's QRs and SVD run on ``numpy.linalg``, whose OpenBLAS also
 serves every matrix product of the refinement, so recompressing inside a
@@ -72,15 +74,6 @@ def topsvd_of_lra(L, rho):
     return TopSVD(Qa @ Uw[:, :rho], sw[:rho], Qb @ Vwt[:rho].T)
 
 
-def _subpermutation(perm, rho):
-    """rho-by-rho permutation left after dropping the trailing rows of the
-    full permutation matrix with ones at (i, perm[i]) and its zero columns."""
-    cols = np.sort(perm[:rho])
-    P = np.zeros((rho, rho))
-    P[np.arange(rho), np.searchsorted(cols, perm[:rho])] = 1.0
-    return P
-
-
 def topsvd_of_lra_qrp(L, rho, h=1.01):
     """Approximate rho-top SVD of A @ B via column-pivoted QR factorizations.
 
@@ -106,12 +99,12 @@ def topsvd_of_lra_qrp(L, rho, h=1.01):
         warnings.warn("singular pivoted core; falling back to exact top-SVD",
                       QRPFallbackWarning, stacklevel=2)
         return topsvd_of_lra(L, rho)
-    # A = Q R P with P = S_a, B = S_b^T L' Q'^T-style with L' = Lt^T
-    P_rho = _subpermutation(piva, rho)
-    # P' columns follow pivb; dropping trailing columns then zero rows
-    # mirrors the row-side construction on the transpose.
-    Pp_rho = _subpermutation(pivb, rho).T
-    core = (R[:rho, :rho] @ P_rho) @ (Pp_rho @ Lt.T[:rho, :rho])
+    # the leading rho pivots, put back in their original relative order,
+    # permute the columns of R and the rows of Lt^T cut to rho-by-rho; the
+    # operands are made C-contiguous because BLAS's summation order, and so
+    # the core's last bits, depends on their layout
+    core = (np.ascontiguousarray(R[:rho, np.argsort(piva[:rho])])
+            @ np.ascontiguousarray(Lt.T[np.argsort(pivb[:rho]), :rho]))
     Uc, s, Vct = la.svd(core)
     if s[0] == 0.0 or s[rho - 1] <= 1e-14 * s[0]:
         warnings.warn("singular pivoted core; falling back to exact top-SVD",

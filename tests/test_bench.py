@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from sublra import (CountingAccessor, PreconditionError, RefineConfig,
+from sublra import (CountingAccessor, DimensionError, PreconditionError,
+                    RefineConfig,
                     audit_pipeline, audit_refine, bench_csv, refine,
                     run_bench, spectra, spectra_csv)
 from sublra.bench import (BenchSpec, RatioOracle, property_suite,
@@ -124,6 +125,18 @@ def test_spectra_rejects_nonpositive_top(top):
         spectra(np.eye(8), top)
 
 
+def test_spectra_rejects_non_finite_entries():
+    M = np.eye(8)
+    M[2, 5] = np.nan
+    with pytest.raises(PreconditionError, match="finite"):
+        spectra(M)
+
+
+def test_spectra_rejects_empty_matrix():
+    with pytest.raises(DimensionError, match="empty"):
+        spectra(np.zeros((0, 3)))
+
+
 def test_spectra_csv_matches_oracle(tmp_path):
     import scipy.linalg as la
 
@@ -158,6 +171,14 @@ class TestAudit:
         assert report.witness is None
         assert "not superfast" in report.summary()
 
+    @pytest.mark.parametrize("m, n", [(0, 16), (16, 0), (-8, 16)])
+    def test_nonpositive_shape_rejected_before_running(self, m, n):
+        def run(acc):
+            raise AssertionError("pipeline ran")
+
+        with pytest.raises(PreconditionError, match=f"m={m}, n={n}"):
+            audit_pipeline(m, n, run)
+
     def test_triangle_argument(self):
         # outputs agree, and the distance from Delta to the shared output
         # plus the distance from O to it is at least ||Delta|| = 1
@@ -176,3 +197,14 @@ def test_property_suite_all_pass():
     assert "refine-access-bound" in names
     failures = [(n, d) for n, ok, d in results if not ok]
     assert not failures, failures
+
+
+def test_property_suite_access_bound_is_the_pooled_budget():
+    # 2^3 (2 r_max n + r_max m) with r_max = 8 is 0.75 of the 256-by-256
+    # matrix, so a run that read every entry would fail the check
+    M = gen_synthetic(256, slow_decay_spectrum(256), seed=17)
+    results = {name: (ok, detail)
+               for name, ok, detail in property_suite(M, rho=4, seed=2)}
+    ok, detail = results["refine-access-bound"]
+    assert ok, detail
+    assert detail.endswith(f"of {256 * 256} entries read, bound 49152")

@@ -155,6 +155,14 @@ def test_audit_cli(capsys):
     assert payload["outputs_identical"] is True
 
 
+@pytest.mark.parametrize("m", ["0", "-8"])
+def test_audit_rejects_nonpositive_m(m, capsys):
+    assert main(["audit", "--n", "64", "--m", m, "--rho", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"m={m}, n=64" in captured.err
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["spectra", "--input", "/nonexistent/m.mtx"]) == 3
 
@@ -179,3 +187,70 @@ def test_non_ascii_file_is_io_error(tmp_path, capsys, raw, line):
 
 def test_missing_input_args_is_precondition(capsys):
     assert main(["spectra"]) == 2
+
+
+# One malformed invocation per row, with the documented exit code: 2 for a
+# precondition or usage error, 3 for an I/O or parse error.  {good}, {missing}
+# and {garbled} name a valid 128x128 file, an absent one and one with a
+# non-numeric entry.
+MALFORMED_INVOCATIONS = [
+    ("gen --kind fast --n 1000 --out {out}", 2),
+    ("gen --kind fast --n 0 --out {out}", 2),
+    ("gen --kind fast --n -4 --out {out}", 2),
+    ("gen --kind fast --n 128 --out {missing_dir}/x.mtx", 3),
+    ("spectra", 2),
+    ("spectra --kind slow --n 100", 2),
+    ("spectra --kind slow --n 128 --top 0", 2),
+    ("spectra --input {missing}", 3),
+    ("spectra --input {garbled}", 3),
+    ("spectra --input {good} --pad 32", 2),
+    ("refine --kind fast --n 128 --rho 33", 2),
+    ("refine --kind fast --n 128 --rho 0", 2),
+    ("refine --kind fast --n 128 --iters 0", 2),
+    ("refine --kind fast --n 128 --depth -1", 2),
+    ("refine --kind fast --n 128 --depth 8", 2),
+    ("refine --input {missing}", 3),
+    ("refine --input {garbled}", 3),
+    ("bench --kind fast --n 128 --rho 4 --trials 0", 2),
+    ("bench --kind fast --n 128 --rho 4 --iters 0", 2),
+    ("bench --kind fast --n 128 --rho 33", 2),
+    ("bench --kind fast --n 100 --rho 4", 2),
+    ("bench --input {missing} --rho 4", 3),
+    ("bench --input {garbled} --rho 4", 3),
+    ("estimate --input {good} --method entry --samples 0", 2),
+    ("estimate --input {good} --method gaussian --q 0", 2),
+    ("estimate --input {good} --method sketch --sketch-size 0", 2),
+    ("estimate --input {good} --method sketch --sketch-size 200", 2),
+    ("estimate --input {missing}", 3),
+    ("estimate --input {garbled}", 3),
+    ("cur --input {good} --rho 0 --out {out}", 2),
+    ("cur --input {good} --rho 200 --out {out}", 2),
+    ("cur --input {good} --rho 4 --k 0 --out {out}", 2),
+    ("cur --input {missing} --rho 4 --out {out}", 3),
+    ("cur --input {garbled} --rho 4 --out {out}", 3),
+    ("audit --n 64 --m 0", 2),
+    ("audit --n 64 --m -8", 2),
+    ("audit --n 0", 2),
+    ("audit --n 64 --rho 0", 2),
+    ("audit --n 64 --rho 17", 2),
+    ("audit --n 100 --rho 4", 2),
+    ("audit --n 64 --rho 4 --iters 0", 2),
+    ("audit --n 64 --rho 4 --depth -1", 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED_INVOCATIONS,
+                         ids=[a for a, _ in MALFORMED_INVOCATIONS])
+def test_malformed_invocation_exit_code(argv, code, matrix_file, tmp_path,
+                                        capsys):
+    garbled = tmp_path / "garbled.mtx"
+    garbled.write_text("%%MatrixMarket matrix array real general\n"
+                       "2 2\n1\nx\n3\n4\n")
+    paths = {"good": matrix_file[0], "missing": tmp_path / "missing.mtx",
+             "garbled": garbled, "out": tmp_path / "out",
+             "missing_dir": tmp_path / "no_such_dir"}
+    assert main(argv.format(**paths).split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,46 @@ def test_abridged_golden_draws(side, depth, pool, positions, signs):
     suffix = "" if pool is None else ";pool=%d:%d" % pool
     assert op.descriptor() == (f"ahad;side={side};size=3;dim=16;"
                                f"depth={depth};seed=5{suffix}")
+
+
+# make_multiplier("ahad", 8, dim, depth=d, seed=5, pool=pool) at depths whose
+# Sylvester matrix is too large to pin entry by entry: sha256 of the int64
+# positions followed by the float64 values.
+GOLDEN_DEEP_DIGESTS = [
+    (10, 4096, None,
+     "fc281bf9a4f0b6b0dc64a36291bfced23bf1a82765053566aaeab0591dbb4e02"),
+    (10, 4096, (9, 2),
+     "ecb1959e9e44089b9eb049fe1b092bdecf9632922264d0b8649fcc184df5c111"),
+    (12, 8192, None,
+     "3bd691b88b3df9874ad81b6c4249b1e867ab7ea5d62f3d2b180ab820f3a75fd2"),
+    (12, 8192, (9, 1),
+     "5de20099ac6f0b3240d2303e0709ec8ce2b57591a07808e60b29852c1c51d388"),
+]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("depth, dim, pool, digest", GOLDEN_DEEP_DIGESTS)
+def test_abridged_golden_draws_deep(side, depth, dim, pool, digest):
+    op = make_multiplier("ahad", 8, dim, depth=depth, seed=5, side=side,
+                         pool=pool)
+    assert op.positions.dtype == np.int64 and op.values.dtype == np.float64
+    got = hashlib.sha256(op.positions.tobytes() + op.values.tobytes())
+    assert got.hexdigest() == digest
+    suffix = "" if pool is None else ";pool=%d:%d" % pool
+    assert op.descriptor() == (f"ahad;side={side};size=8;dim={dim};"
+                               f"depth={depth};seed=5{suffix}")
+
+
+def test_deep_construction_builds_only_sampled_rows():
+    # the operator holds 32 * 2^12 entries (1 MB of values); a 2^12-by-2^12
+    # sign table alone would be 128 MB
+    tracemalloc.start()
+    try:
+        make_multiplier("ahad", 32, 4096, depth=12, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_gaussian_determinism():

@@ -138,6 +138,39 @@ class TestQRPVariant:
             topsvd_of_lra_qrp(L, 2, h=0.5)
 
 
+def _qrp_by_permutation_matrices(L, rho):
+    """topsvd_of_lra_qrp's non-fallback path with its rho-by-rho core formed
+    by multiplying with permutation matrices, the reference for indexing."""
+
+    def subpermutation(perm):
+        cols = np.sort(perm[:rho])
+        P = np.zeros((rho, rho))
+        P[np.arange(rho), np.searchsorted(cols, perm[:rho])] = 1.0
+        return P
+
+    Q, R, piva = la.qr(L.A, mode="economic", pivoting=True)
+    Qb, Lt, pivb = la.qr(L.B.T, mode="economic", pivoting=True)
+    core = ((R[:rho, :rho] @ subpermutation(piva))
+            @ (subpermutation(pivb).T @ Lt.T[:rho, :rho]))
+    Uc, s, Vct = la.svd(core)
+    return Q[:, :rho] @ Uc, s, Qb[:, :rho] @ Vct.T
+
+
+def test_qrp_core_by_index_matches_permutation_matrices():
+    rng = np.random.default_rng(41)
+    for case in range(200):
+        m, n = (int(v) for v in rng.integers(48, 161, size=2))
+        k = int(rng.integers(2, 49))
+        rho = int(rng.integers(1, min(k, 40) + 1))
+        L = decayed_instance(m, n, k, float(rng.uniform(0.7, 0.97)),
+                             seed=1000 + case)
+        U, s, V = _qrp_by_permutation_matrices(L, rho)
+        got = topsvd_of_lra_qrp(L, rho)
+        assert np.array_equal(got.U, U), case
+        assert np.array_equal(got.sigma, s), case
+        assert np.array_equal(got.V, V), case
+
+
 class TestRecompress:
     def test_identity_at_full_rank(self):
         L = decayed_instance(50, 40, 8, 0.6, seed=33)
