@@ -17,8 +17,8 @@ from .cur import (CURDecomp, SingularNucleusError, nucleus_norm_bound,
 from .errest import (ErrorEstimate, entry_lower_bound,
                      frobenius_confidence_band, gaussian_error_estimate,
                      residual_probe, sketch_norm_bounds)
-from .matgen import (SpectrumSpec, custom_spectrum, fast_decay_spectrum,
-                     gen_delta, gen_synthetic, slow_decay_spectrum)
+from .matgen import (SpectrumSpec, fast_decay_spectrum, gen_delta,
+                     gen_synthetic, slow_decay_spectrum)
 from .mmio import MatrixMarketError, load_matrix, pad_matrix, save_matrix
 from .refine import (IterationRecord, RefineConfig, RefinementReport,
                      refine, sketch_rank_r_approx)

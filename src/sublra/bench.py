@@ -88,9 +88,8 @@ def synthetic_input(kind, n, rho=20, seed=12345):
                       rho=rho, gen_seed=seed)
 
 
-def file_input(path, rho, pad=None, label=None):
-    return BenchInput(label=label or path, matrix=load_input(path, pad=pad),
-                      rho=rho)
+def file_input(path, rho, pad=None):
+    return BenchInput(label=path, matrix=load_input(path, pad=pad), rho=rho)
 
 
 def trial_seeds(master_seed, trials):

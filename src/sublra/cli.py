@@ -19,8 +19,6 @@ from .mmio import MatrixMarketError, save_matrix
 from .refine import RefineConfig, refine
 from .sketch import apply_left, apply_right, make_multiplier
 
-QUICK_TRIALS = 20
-
 
 def _add_input_args(p):
     p.add_argument("--input", help="Matrix Market input file")
@@ -95,10 +93,9 @@ def cmd_bench(args):
                   for k in kinds]
     multipliers = (["ahad", "gaussian"] if args.multiplier == "both"
                    else [args.multiplier])
-    trials = QUICK_TRIALS if args.quick else args.trials
     spec = bench_mod.BenchSpec(inputs=inputs, multipliers=multipliers,
                                depth=args.depth, iters=args.iters,
-                               trials=trials, seed=args.seed)
+                               trials=args.trials, seed=args.seed)
     rows = bench_mod.run_bench(spec)
     text = bench_mod.bench_csv(rows)
     _write_text(text, args.out)
@@ -217,8 +214,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true",
-                   help=f"CI profile: trials={QUICK_TRIALS}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

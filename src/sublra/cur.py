@@ -54,22 +54,20 @@ def rr_select(Q, count):
     return np.sort(piv[:count])
 
 
-def nucleus_norm_bound(m, n, rho, h=1.1, a=1, sigma_rho=1.0):
-    """Bound t_{m,rho,h}^a t_{n,rho,h}^a / sigma_rho with
+def nucleus_norm_bound(m, n, rho, h=1.1, sigma_rho=1.0):
+    """Bound t_{m,rho,h} t_{n,rho,h} / sigma_rho with
     t_{q,s,h}^2 = (q - s) s h^2 + 1.
 
-    a = 1 corresponds to strong rank-revealing QR pivoting, a = 2 to the LUP
-    variant; with standard column pivoting the bound is a tested heuristic.
+    The bound holds for strong rank-revealing QR pivoting; with standard
+    column pivoting it is a tested heuristic.
     """
     if h <= 1.0:
         raise ValueError("h must exceed 1")
-    if a not in (1, 2):
-        raise ValueError("a must be 1 or 2")
     if sigma_rho <= 0:
         raise ValueError("sigma_rho must be positive")
     t_m = np.sqrt((m - rho) * rho * h * h + 1.0)
     t_n = np.sqrt((n - rho) * rho * h * h + 1.0)
-    return float(t_m ** a * t_n ** a / sigma_rho)
+    return float(t_m * t_n / sigma_rho)
 
 
 def svd_to_cur(S, k=None, l=None):

@@ -22,7 +22,6 @@ FAST_CUTOFF = 100  # fast-decay spectrum is exactly zero beyond this index
 class SpectrumSpec:
     """Prescribed nonincreasing singular-value profile."""
 
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -42,7 +41,7 @@ def fast_decay_spectrum(n):
     v[i <= PLATEAU] = 1.0
     mid = (i > PLATEAU) & (i <= FAST_CUTOFF)
     v[mid] = 0.5 ** (i[mid] - PLATEAU)
-    return SpectrumSpec("fastDecay", v)
+    return SpectrumSpec(v)
 
 
 def slow_decay_spectrum(n):
@@ -51,14 +50,12 @@ def slow_decay_spectrum(n):
     v = np.ones(n)
     tail = i > PLATEAU
     v[tail] = 1.0 / (1.0 + i[tail] - PLATEAU) ** 2
-    return SpectrumSpec("slowDecay", v)
-
-
-def custom_spectrum(values):
-    return SpectrumSpec("custom", values)
+    return SpectrumSpec(v)
 
 
 def spectrum_by_name(kind, n):
+    if n < 1:
+        raise PreconditionError(f"n={n} must be positive")
     if kind in ("fast", "fastDecay"):
         return fast_decay_spectrum(n)
     if kind in ("slow", "slowDecay"):

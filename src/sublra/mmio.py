@@ -6,11 +6,12 @@ IEEE doubles exactly.  Array files are stored column-major per the format;
 coordinate files use 1-based indices.
 """
 
+import math
 import re
 
 import numpy as np
 
-from .core import as_dense
+from .core import PreconditionError, as_dense
 
 MAX_ENTRIES = 1 << 27  # dimension-overflow guard for desk-scale use
 
@@ -49,8 +50,21 @@ def _non_ascii_error(path):
     return MatrixMarketError(f"non-ASCII byte 0x{raw[pos]:02x}", lineno)
 
 
+def _non_finite_error(entries):
+    """MatrixMarketError naming the first entry line with an inf, a NaN or a
+    value that overflows a double."""
+    for lineno, ln in entries:
+        for tok in ln.split():
+            if not math.isfinite(float(tok)):
+                return MatrixMarketError(f"non-finite value {tok!r}", lineno)
+
+
 def load_matrix(path):
-    """Read a real array/coordinate Matrix Market file into a dense array."""
+    """Read a real array/coordinate Matrix Market file into a dense array.
+
+    Malformed content, a non-ASCII byte and an inf, NaN or overflowing value
+    each raise MatrixMarketError naming their line.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
@@ -127,7 +141,11 @@ def load_matrix(path):
             M[i - 1, j - 1] = v
             if sym == "symmetric":
                 M[j - 1, i - 1] = v
-    return as_dense(M)
+    try:
+        return as_dense(M)
+    except PreconditionError:
+        # the entries are searched again only to name the line
+        raise _non_finite_error(entries) from None
 
 
 def save_matrix(M, path, fmt="array", comment=""):

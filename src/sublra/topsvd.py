@@ -74,20 +74,19 @@ def topsvd_of_lra(L, rho):
     return TopSVD(Qa @ Uw[:, :rho], sw[:rho], Qb @ Vwt[:rho].T)
 
 
-def topsvd_of_lra_qrp(L, rho, h=1.01):
+def topsvd_of_lra_qrp(L, rho):
     """Approximate rho-top SVD of A @ B via column-pivoted QR factorizations.
 
     A = Q R P and B = P' L Q' (the latter from pivoted QR of B^T); both
     triangular factors and the permutations are cut down to their leading
     rho-by-rho parts and the resulting small core is SVD'd.  With the strong
-    rank-revealing pivoting of the literature the reconstruction error is
-    within sqrt(1 + h^2 (k - rho) rho) of the optimal sigma_{rho+1}; standard
-    column pivoting is used here, so that factor is a tested heuristic, not a
+    rank-revealing pivoting of the literature, whose parameter h > 1 bounds
+    the pivoting's growth, the reconstruction error is within
+    sqrt(1 + h^2 (k - rho) rho) of the optimal sigma_{rho+1}; standard column
+    pivoting is used here, so that factor is a tested heuristic, not a
     guarantee.  A singular core falls back to the exact path with a warning.
     """
     _check_ranks(L, rho)
-    if h <= 1.0:
-        raise ValueError("h must exceed 1")
     Q, R, piva = la.qr(L.A, mode="economic", pivoting=True)
     Qb, Lt, pivb = la.qr(L.B.T, mode="economic", pivoting=True)
     # pivoted diagonals are nonincreasing in magnitude; a collapse below
@@ -124,25 +123,3 @@ def recompress(L, rho):
     """
     return topsvd_of_lra(L, rho).to_factored2()
 
-
-# Flop model for the exact path, mirroring its matrix shapes; used to pin the
-# superfast cost envelope in tests without timing noise.
-
-def _qr_flops(m, k):
-    # Householder R of an m-by-k panel, then its thin Q formed explicitly
-    return 2 * (2 * m * k * k - 2 * k ** 3 // 3)
-
-
-def _svd_flops(k):
-    return 14 * k ** 3
-
-
-def _matmul_flops(m, k, n):
-    return 2 * m * k * n
-
-
-def topsvd_flop_estimate(m, n, k, rho):
-    """Modeled flop count of the exact path: O((m + n) k^2)."""
-    return (_qr_flops(m, k) + _qr_flops(n, k) + _matmul_flops(k, k, k)
-            + _svd_flops(k)
-            + _matmul_flops(m, k, rho) + _matmul_flops(n, k, rho))

@@ -189,10 +189,27 @@ def test_missing_input_args_is_precondition(capsys):
     assert main(["spectra"]) == 2
 
 
+@pytest.mark.parametrize("argv, n", [
+    ("gen --kind fast --n -4 --out {out}", -4),
+    ("gen --kind slow --n 0 --out {out}", 0),
+    ("refine --kind slow --n -8", -8),
+    ("refine --kind fast --n 0", 0),
+    ("bench --kind fast --n -4 --rho 4", -4),
+    ("bench --n 0 --rho 4", 0),
+])
+def test_nonpositive_n_is_precondition(argv, n, tmp_path, capsys):
+    assert main(argv.format(out=tmp_path / "out.mtx").split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n={n} must be positive" in captured.err
+    assert not (tmp_path / "out.mtx").exists()
+
+
 # One malformed invocation per row, with the documented exit code: 2 for a
 # precondition or usage error, 3 for an I/O or parse error.  {good}, {missing}
 # and {garbled} name a valid 128x128 file, an absent one and one with a
-# non-numeric entry.
+# non-numeric entry; {overflow} and {nan} name an array file with a value
+# past the double range and a coordinate file with a NaN entry.
 MALFORMED_INVOCATIONS = [
     ("gen --kind fast --n 1000 --out {out}", 2),
     ("gen --kind fast --n 0 --out {out}", 2),
@@ -204,6 +221,8 @@ MALFORMED_INVOCATIONS = [
     ("spectra --input {missing}", 3),
     ("spectra --input {garbled}", 3),
     ("spectra --input {good} --pad 32", 2),
+    ("spectra --input {overflow}", 3),
+    ("spectra --input {nan}", 3),
     ("refine --kind fast --n 128 --rho 33", 2),
     ("refine --kind fast --n 128 --rho 0", 2),
     ("refine --kind fast --n 128 --iters 0", 2),
@@ -246,9 +265,15 @@ def test_malformed_invocation_exit_code(argv, code, matrix_file, tmp_path,
     garbled = tmp_path / "garbled.mtx"
     garbled.write_text("%%MatrixMarket matrix array real general\n"
                        "2 2\n1\nx\n3\n4\n")
+    overflow = tmp_path / "overflow.mtx"
+    overflow.write_text("%%MatrixMarket matrix array real general\n"
+                        "2 1\n1\n1e400\n")
+    nan = tmp_path / "nan.mtx"
+    nan.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 2\n1 1 1\n2 2 nan\n")
     paths = {"good": matrix_file[0], "missing": tmp_path / "missing.mtx",
-             "garbled": garbled, "out": tmp_path / "out",
-             "missing_dir": tmp_path / "no_such_dir"}
+             "garbled": garbled, "overflow": overflow, "nan": nan,
+             "out": tmp_path / "out", "missing_dir": tmp_path / "no_such_dir"}
     assert main(argv.format(**paths).split()) == code
     captured = capsys.readouterr()
     assert captured.out == ""

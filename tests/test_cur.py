@@ -73,14 +73,10 @@ def test_singular_nucleus_rejected():
 
 def test_nucleus_norm_bound_values():
     assert nucleus_norm_bound(8, 8, 8, sigma_rho=0.25) == pytest.approx(4.0)
-    got = nucleus_norm_bound(1024, 1024, 10, h=1.1, a=1, sigma_rho=1.0)
+    got = nucleus_norm_bound(1024, 1024, 10, h=1.1, sigma_rho=1.0)
     assert got == pytest.approx(1014 * 10 * 1.21 + 1, rel=1e-12)
-    assert nucleus_norm_bound(1024, 1024, 10, h=1.1, a=2, sigma_rho=1.0) \
-        == pytest.approx(got ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         nucleus_norm_bound(8, 8, 4, h=1.0)
-    with pytest.raises(ValueError):
-        nucleus_norm_bound(8, 8, 4, a=3)
     with pytest.raises(ValueError):
         nucleus_norm_bound(8, 8, 4, sigma_rho=0.0)
 

@@ -4,7 +4,7 @@ import scipy.linalg as la
 
 from sublra import (PreconditionError, SpectrumSpec, fast_decay_spectrum,
                     gen_delta, gen_synthetic, slow_decay_spectrum)
-from sublra.matgen import custom_spectrum, load_input, spectrum_by_name
+from sublra.matgen import load_input, spectrum_by_name
 from sublra.mmio import save_matrix
 
 
@@ -27,9 +27,9 @@ def test_slow_decay_values():
 
 def test_spectrum_validation():
     with pytest.raises(PreconditionError):
-        SpectrumSpec("custom", np.array([1.0, 2.0]))
+        SpectrumSpec(np.array([1.0, 2.0]))
     with pytest.raises(PreconditionError):
-        SpectrumSpec("custom", np.array([1.0, -0.5]))
+        SpectrumSpec(np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         spectrum_by_name("medium", 128)
 
@@ -42,7 +42,7 @@ def test_gen_synthetic_singular_values_match_spec():
 
 
 def test_gen_synthetic_all_ones_is_orthogonal():
-    M = gen_synthetic(128, custom_spectrum(np.ones(128)), seed=2)
+    M = gen_synthetic(128, SpectrumSpec(np.ones(128)), seed=2)
     assert np.linalg.norm(M.T @ M - np.eye(128)) <= 1e-9
 
 
@@ -57,9 +57,9 @@ def test_gen_synthetic_determinism_and_seed_sensitivity():
 
 def test_gen_synthetic_rejects_bad_sizes():
     with pytest.raises(PreconditionError, match="pad"):
-        gen_synthetic(1000, custom_spectrum(np.ones(1000)), seed=0)
+        gen_synthetic(1000, SpectrumSpec(np.ones(1000)), seed=0)
     with pytest.raises(PreconditionError):
-        gen_synthetic(64, custom_spectrum(np.ones(64)), seed=0)
+        gen_synthetic(64, SpectrumSpec(np.ones(64)), seed=0)
 
 
 def test_gen_delta_examples():

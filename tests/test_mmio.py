@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sublra import MatrixMarketError, load_matrix, pad_matrix, save_matrix
+
+# deterministic and small, so the suite stays reproducible and quick
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def tricky_matrix():
@@ -72,6 +78,23 @@ def test_non_ascii_byte_names_its_line(tmp_path, raw, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text, line, token", [
+    ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n"
+     "% a comment\n-inf 3.0\n", 6, "-inf"),
+    ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n1e400\n3\n",
+     4, "1e400"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
+     "\n2 1 NaN\n", 5, "NaN"),
+], ids=["array-inf", "symmetric-overflow", "coordinate-nan"])
+def test_non_finite_value_names_its_line(tmp_path, text, line, token):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError,
+                       match=f"line {line}: non-finite value '{token}'") as exc:
+        load_matrix(path)
+    assert exc.value.line == line
+
+
 def test_coordinate_index_out_of_range(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -113,3 +136,72 @@ def test_pad_matrix():
     assert P[3:, :].sum() == 0 and P[:, 2:].sum() == 0
     with pytest.raises(ValueError):
         pad_matrix(M, 2)
+
+
+finite_matrices = arrays(
+    np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False))
+edge_values = np.array([[-0.0, 5e-324, 1e308],
+                        [-1e308, -2.2250738585072014e-308, 0.1]])
+
+
+@PROPERTY_SETTINGS
+@given(M=finite_matrices)
+@example(M=edge_values)
+def test_array_format_round_trips_bit_for_bit(tmp_path_factory, M):
+    path = tmp_path_factory.mktemp("array") / "m.mtx"
+    save_matrix(M, path, fmt="array")
+    assert load_matrix(path).tobytes() == M.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(M=finite_matrices)
+@example(M=edge_values)
+def test_coordinate_format_round_trips_values(tmp_path_factory, M):
+    # only nonzeros are written, so -0.0 comes back as +0.0
+    path = tmp_path_factory.mktemp("coordinate") / "m.mtx"
+    save_matrix(M, path, fmt="coordinate")
+    assert np.array_equal(load_matrix(path), M)
+
+
+value_tokens = st.one_of(
+    st.sampled_from(["0", "-0", "1.5", "1e400", "-1e999", "nan", "NaN",
+                     "inf", "-Infinity", "x", "%", "1_0", "0x1p3", "e5",
+                     "+", "."]),
+    st.integers(-4, 8).map(str),
+    st.floats().map(repr))
+index_tokens = st.one_of(st.integers(-1, 4).map(str),
+                         st.sampled_from(["x", "1.0", "nan", "1e400"]))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), fmt=st.sampled_from(["array", "coordinate"]),
+       sym=st.sampled_from(["general", "symmetric"]),
+       m=st.integers(1, 3), n=st.integers(1, 3))
+def test_token_soup_loads_or_raises_matrix_market_error(
+        tmp_path_factory, data, fmt, sym, m, n):
+    # entry counts are drawn near the size line's, so that most soups get
+    # past the count checks to the values themselves
+    n = m if sym == "symmetric" else n
+    if fmt == "array":
+        count = m * n if sym == "general" else m * (m + 1) // 2
+        size = f"{m} {n}"
+        tokens = data.draw(st.lists(value_tokens, min_size=count - 1,
+                                    max_size=count + 1))
+        width = data.draw(st.integers(1, 3))
+        body = [" ".join(tokens[i:i + width])
+                for i in range(0, len(tokens), width)]
+    else:
+        nnz = data.draw(st.integers(0, 4))
+        size = f"{m} {n} {nnz}"
+        entry = st.tuples(index_tokens, index_tokens, value_tokens)
+        body = [" ".join(e) for e in data.draw(
+            st.lists(entry, min_size=max(nnz - 1, 0), max_size=nnz + 1))]
+    path = tmp_path_factory.mktemp("soup") / "m.mtx"
+    path.write_text("\n".join([f"%%MatrixMarket matrix {fmt} real {sym}",
+                               size] + body) + "\n")
+    try:
+        M = load_matrix(path)
+    except MatrixMarketError:
+        return
+    assert M.shape == (m, n) and np.isfinite(M).all()
