@@ -186,12 +186,12 @@ class AuditReport:
     pipeline: str
     superfast: bool
     accessed: int
-    witness: Optional[tuple]
-    output_distance: Optional[float]
-    outputs_identical: Optional[bool]
-    error_on_zero: Optional[float]
-    error_on_delta: Optional[float]
-    implied_error: Optional[float]
+    witness: Optional[tuple] = None
+    output_distance: Optional[float] = None
+    outputs_identical: Optional[bool] = None
+    error_on_zero: Optional[float] = None
+    error_on_delta: Optional[float] = None
+    implied_error: Optional[float] = None
 
     def to_json(self):
         d = dict(self.__dict__)
@@ -226,10 +226,7 @@ def audit_pipeline(m, n, run, pipeline="custom"):
     witness = zero_acc.first_unaccessed()
     if witness is None:
         return AuditReport(rows=m, cols=n, pipeline=pipeline, superfast=False,
-                           accessed=zero_acc.distinct_accessed, witness=None,
-                           output_distance=None, outputs_identical=None,
-                           error_on_zero=None, error_on_delta=None,
-                           implied_error=None)
+                           accessed=zero_acc.distinct_accessed)
     i, j = witness
     delta = gen_delta(m, n, i + 1, j + 1)
     out_delta = np.asarray(run(CountingAccessor(delta)), dtype=np.float64)

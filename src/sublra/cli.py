@@ -67,14 +67,18 @@ def cmd_spectra(args):
     return 0
 
 
+def _refine_config(args):
+    """The RefineConfig of the refine and audit subcommands' shared flags."""
+    return RefineConfig(rho=args.rho, max_iters=args.iters,
+                        multiplier=args.multiplier, depth=args.depth,
+                        seed=args.seed)
+
+
 def cmd_refine(args):
     M, label = _resolve_input(args)
-    config = RefineConfig(rho=args.rho, max_iters=args.iters,
-                          multiplier=args.multiplier, depth=args.depth,
-                          seed=args.seed)
     acc = CountingAccessor(M)
     evaluator = RatioOracle(M, args.rho) if args.ratios else None
-    approx, report = refine(acc, config, evaluator=evaluator)
+    approx, report = refine(acc, _refine_config(args), evaluator=evaluator)
     print(f"input: {label} shape {M.shape}")
     print(report.summary())
     if args.out:
@@ -161,10 +165,7 @@ def cmd_cur(args):
 
 def cmd_audit(args):
     m = args.n if args.m is None else args.m
-    config = RefineConfig(rho=args.rho, max_iters=args.iters,
-                          multiplier=args.multiplier, depth=args.depth,
-                          seed=args.seed)
-    report = bench_mod.audit_refine(m, args.n, config)
+    report = bench_mod.audit_refine(m, args.n, _refine_config(args))
     print(report.summary())
     print(report.to_json())
     return 0

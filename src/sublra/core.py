@@ -116,20 +116,20 @@ class CountingAccessor:
         c = int(np.count_nonzero(self._col_read))
         return r * n + c * m - r * c + int(self._listed().size)
 
-    def _list(self, rows, cols):
-        # the caller has already indexed the target, so every index is in
-        # range and negative ones only need wrapping
+    def _gather(self, index):
+        """Entries at ``index``, a (rows, cols) pair of broadcastable index
+        arrays, listed in the ledger and counted."""
+        values = self.target[index]
+        # the indexing has checked every index, so negative ones only need
+        # wrapping
         self._entries.append(np.ravel_multi_index(
-            (rows, cols), self.shape, mode="wrap").ravel())
+            index, self.shape, mode="wrap").ravel())
+        self.total_reads += values.size
+        return values
 
     def read_at(self, rows, cols):
         """Gather entries at paired (rows[t], cols[t]) positions."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        values = self.target[rows, cols]
-        self._list(rows, cols)
-        self.total_reads += values.size
-        return values
+        return self._gather((np.asarray(rows), np.asarray(cols)))
 
     def read_rows(self, rows):
         rows = np.asarray(rows)
@@ -145,12 +145,7 @@ class CountingAccessor:
 
     def read_submatrix(self, rows, cols):
         """Cross product block: all (i, j) with i in rows, j in cols."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        values = self.target[np.ix_(rows, cols)]
-        self._list(*np.ix_(rows, cols))
-        self.total_reads += rows.size * cols.size
-        return values
+        return self._gather(np.ix_(rows, cols))
 
     def read_full(self):
         self._row_read[:] = True

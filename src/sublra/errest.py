@@ -18,6 +18,7 @@ from scipy.special import gammaincinv
 from .core import CountingAccessor, DimensionError, PreconditionError, matrix_norm
 
 MIN_IID_SAMPLES = 100
+IID_CONFIDENCE = 0.95  # coverage of gaussian_error_estimate's band
 
 
 @dataclass
@@ -78,10 +79,9 @@ def _operator_norm(op, kind="spectral"):
     return matrix_norm(op.to_dense(), kind)
 
 
-def sketch_norm_bounds(F=None, H=None, FE=None, EH=None, FEH=None,
-                       kind="spectral"):
-    """Norm lower bound from sketches: the best of |||FE|||/|||F|||,
-    |||EH|||/|||H||| and |||FEH|||/(|||F||| |||H|||).
+def sketch_norm_bounds(F=None, H=None, FE=None, EH=None, kind="spectral"):
+    """Norm lower bound from sketches: the best of |||FE|||/|||F||| and
+    |||EH|||/|||H|||, from whichever of the two sketches is given.
 
     Valid for both norm kinds by submultiplicativity.  No upper bound is
     reported; with random multipliers the same ratios are upper-bound
@@ -89,14 +89,12 @@ def sketch_norm_bounds(F=None, H=None, FE=None, EH=None, FEH=None,
     """
     ratios = []
     size = 0
-    for name, sketch, ops in (("FE", FE, {"F": F}), ("EH", EH, {"H": H}),
-                              ("FEH", FEH, {"F": F, "H": H})):
+    for name, sketch, op_name, op in (("FE", FE, "F", F), ("EH", EH, "H", H)):
         if sketch is None:
             continue
-        if any(op is None for op in ops.values()):
-            raise DimensionError(f"{name} given without {' and '.join(ops)}")
-        scale = np.prod([_operator_norm(op, kind) for op in ops.values()])
-        ratios.append(matrix_norm(sketch, kind) / scale)
+        if op is None:
+            raise DimensionError(f"{name} given without {op_name}")
+        ratios.append(matrix_norm(sketch, kind) / _operator_norm(op, kind))
         size += np.asarray(sketch).size
     if not ratios:
         raise PreconditionError("no sketches given")
@@ -115,7 +113,7 @@ def frobenius_confidence_band(sample_size, confidence):
             float(np.sqrt(sample_size / q_lo)))
 
 
-def gaussian_error_estimate(E, q, s, seed=0, confidence=0.95):
+def gaussian_error_estimate(E, q, s, seed=0):
     """Frobenius-norm estimate assuming i.i.d. entries, from a q-by-s sample.
 
     Draws q rows and s columns without replacement and reads exactly q*s
@@ -123,8 +121,9 @@ def gaussian_error_estimate(E, q, s, seed=0, confidence=0.95):
     around it, sigma_K^2 + mu_K^2 is the sample mean square, so the estimate
     sqrt(m n (sigma_K^2 + mu_K^2)) is reported as ``upper_bound``.  The
     sampled max |entry| is kept as the hard ``lower_bound``.  Under the model
-    the truth falls within ``frobenius_confidence_band(q*s, confidence)``
-    times the estimate.  The i.i.d. assumption is essential: a single spike
+    the truth falls within ``frobenius_confidence_band(q*s,
+    IID_CONFIDENCE)`` times the estimate, and ``confidence`` reports
+    IID_CONFIDENCE.  The i.i.d. assumption is essential: a single spike
     outside the sample goes undetected.
     """
     if not isinstance(E, CountingAccessor):
@@ -147,16 +146,15 @@ def gaussian_error_estimate(E, q, s, seed=0, confidence=0.95):
     estimate = float(np.sqrt(m * n * (var + mu * mu)))
     return ErrorEstimate(lower_bound=float(sample.max()),
                          upper_bound=estimate,
-                         confidence=confidence,
+                         confidence=IID_CONFIDENCE,
                          method="gaussian-iid",
                          sample_size=q * s)
 
 
-def residual_probe(Mprev, Mcur, probe_count, seed=0, mode="gaussian"):
-    """Max |f^T (Mcur - Mprev) h| over probe pairs, through the factors.
+def residual_probe(Mprev, Mcur, probe_count, seed=0):
+    """Max |f^T (Mcur - Mprev) h| over pairs of unit-length Gaussian probe
+    vectors, through the factors.
 
-    Probe vectors are unit-length Gaussian directions (mode="gaussian") or
-    cycled coordinate vectors (mode="coordinate", for exact unit tests).
     Each probe costs O((m + n) k); the difference is never materialized, so
     the value is invariant under re-factoring of either input.
     """
@@ -168,20 +166,12 @@ def residual_probe(Mprev, Mcur, probe_count, seed=0, mode="gaussian"):
         raise PreconditionError("probe_count must be positive")
     rng = np.random.default_rng(seed)
     best = 0.0
-    for t in range(probe_count):
-        if mode == "gaussian":
-            f = rng.standard_normal(m)
-            f /= np.linalg.norm(f)
-            h = rng.standard_normal(n)
-            h /= np.linalg.norm(h)
-            fA = (f @ Mcur.A, f @ Mprev.A)
-            Bh = (Mcur.B @ h, Mprev.B @ h)
-        elif mode == "coordinate":
-            i, j = t % m, t % n
-            fA = (Mcur.A[i, :], Mprev.A[i, :])
-            Bh = (Mcur.B[:, j], Mprev.B[:, j])
-        else:
-            raise ValueError(f"unknown probe mode {mode!r}")
-        value = abs(float(fA[0] @ Bh[0]) - float(fA[1] @ Bh[1]))
+    for _ in range(probe_count):
+        f = rng.standard_normal(m)
+        f /= np.linalg.norm(f)
+        h = rng.standard_normal(n)
+        h /= np.linalg.norm(h)
+        value = abs(float((f @ Mcur.A) @ (Mcur.B @ h))
+                    - float((f @ Mprev.A) @ (Mprev.B @ h)))
         best = max(best, value)
     return best

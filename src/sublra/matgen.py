@@ -56,9 +56,9 @@ def slow_decay_spectrum(n):
 def spectrum_by_name(kind, n):
     if n < 1:
         raise PreconditionError(f"n={n} must be positive")
-    if kind in ("fast", "fastDecay"):
+    if kind == "fast":
         return fast_decay_spectrum(n)
-    if kind in ("slow", "slowDecay"):
+    if kind == "slow":
         return slow_decay_spectrum(n)
     raise ValueError(f"unknown spectrum kind {kind!r}")
 

@@ -128,6 +128,7 @@ def load_matrix(path):
             lineno = entries[-1][0] if entries else sizeno
             raise MatrixMarketError(
                 f"expected {nnz} entry lines, found {len(entries)}", lineno)
+        seen = {}  # entry (row, col) -> line that gave it
         for lineno, ln in entries:
             toks = ln.split()
             if len(toks) != 3:
@@ -138,6 +139,12 @@ def load_matrix(path):
                 raise MatrixMarketError(f"bad entry {ln!r}", lineno) from None
             if not (1 <= i <= m and 1 <= j <= n):
                 raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
+            # in a symmetric file (i, j) and (j, i) are one entry
+            first = seen.setdefault(
+                (i, j) if sym == "general" or i >= j else (j, i), lineno)
+            if first != lineno:
+                raise MatrixMarketError(
+                    f"entry ({i}, {j}) repeats line {first}", lineno)
             M[i - 1, j - 1] = v
             if sym == "symmetric":
                 M[j - 1, i - 1] = v

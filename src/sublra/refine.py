@@ -175,21 +175,19 @@ def sketch_rank_r_approx(FE, EH, F):
     return Factored2(Q, _pinv_flagged(T) @ (U.T @ FE))
 
 
-def _iteration_seeds(master_seed, max_iters):
-    children = np.random.SeedSequence(master_seed).spawn(max_iters)
-    return [child.generate_state(2, dtype=np.uint64) for child in children]
+def _run_seeds(master_seed, max_iters):
+    """The (F, H) seeds of each iteration and the seeds of the run's left
+    and right class pools.
 
-
-def _pool_seeds(master_seed):
-    """Seeds of the run's left and right class pools.
-
-    They are the master sequence's own state, which no spawned iteration
-    child shares, so they depend on the seed alone: not on max_iters, and
-    they leave the iteration seeds as they are.
+    The iteration seeds come from spawned children of the master sequence.
+    The pool seeds are the master sequence's own state, which no spawned
+    iteration child shares, so they depend on the seed alone: not on
+    max_iters, and they leave the iteration seeds as they are.
     """
-    state = np.random.SeedSequence(master_seed).generate_state(
-        2, dtype=np.uint64)
-    return [int(s) for s in state]
+    master = np.random.SeedSequence(master_seed)
+    iterations = [child.generate_state(2, dtype=np.uint64).tolist()
+                  for child in master.spawn(max_iters)]
+    return iterations, master.generate_state(2, dtype=np.uint64).tolist()
 
 
 def refine(M, config, evaluator=None):
@@ -211,13 +209,12 @@ def refine(M, config, evaluator=None):
     t0 = time.perf_counter()
     approx = Factored2.zero(m, n)
     report = RefinementReport(config=config)
-    seeds = _iteration_seeds(config.seed, config.max_iters)
-    pool_f, pool_h = _pool_seeds(config.seed)
+    seeds, (pool_f, pool_h) = _run_seeds(config.seed, config.max_iters)
     r_max = 2 * config.rho
 
     for i in range(config.max_iters):
         r = approx.rank_bound + config.rho
-        seed_f, seed_h = (int(s) for s in seeds[i])
+        seed_f, seed_h = seeds[i]
         F = make_multiplier(config.multiplier, 2 * r, m, depth=config.depth,
                             seed=seed_f, side="left", pool=(pool_f, 2 * r_max))
         H = make_multiplier(config.multiplier, r, n, depth=config.depth,

@@ -209,7 +209,8 @@ def test_nonpositive_n_is_precondition(argv, n, tmp_path, capsys):
 # precondition or usage error, 3 for an I/O or parse error.  {good}, {missing}
 # and {garbled} name a valid 128x128 file, an absent one and one with a
 # non-numeric entry; {overflow} and {nan} name an array file with a value
-# past the double range and a coordinate file with a NaN entry.
+# past the double range and a coordinate file with a NaN entry; {repeated}
+# names a coordinate file that lists one entry twice, first as NaN.
 MALFORMED_INVOCATIONS = [
     ("gen --kind fast --n 1000 --out {out}", 2),
     ("gen --kind fast --n 0 --out {out}", 2),
@@ -223,6 +224,7 @@ MALFORMED_INVOCATIONS = [
     ("spectra --input {good} --pad 32", 2),
     ("spectra --input {overflow}", 3),
     ("spectra --input {nan}", 3),
+    ("spectra --input {repeated}", 3),
     ("refine --kind fast --n 128 --rho 33", 2),
     ("refine --kind fast --n 128 --rho 0", 2),
     ("refine --kind fast --n 128 --iters 0", 2),
@@ -271,8 +273,12 @@ def test_malformed_invocation_exit_code(argv, code, matrix_file, tmp_path,
     nan = tmp_path / "nan.mtx"
     nan.write_text("%%MatrixMarket matrix coordinate real general\n"
                    "2 2 2\n1 1 1\n2 2 nan\n")
+    repeated = tmp_path / "repeated.mtx"
+    repeated.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 1 nan\n1 1 2.0\n")
     paths = {"good": matrix_file[0], "missing": tmp_path / "missing.mtx",
              "garbled": garbled, "overflow": overflow, "nan": nan,
+             "repeated": repeated,
              "out": tmp_path / "out", "missing_dir": tmp_path / "no_such_dir"}
     assert main(argv.format(**paths).split()) == code
     captured = capsys.readouterr()

@@ -76,9 +76,7 @@ class TestSketchNormBounds:
             true = (la.svdvals(self.E)[0] if kind == "spectral"
                     else np.linalg.norm(self.E))
             est = sketch_norm_bounds(F=self.F, H=self.H, FE=self.FE,
-                                     EH=self.EH,
-                                     FEH=apply_dense_feh(self.FE, self.H),
-                                     kind=kind)
+                                     EH=self.EH, kind=kind)
             assert est.lower_bound <= true + 1e-12
             assert est.upper_bound is None
 
@@ -113,12 +111,6 @@ class TestSketchNormBounds:
             sketch_norm_bounds(FE=self.FE)
         with pytest.raises(PreconditionError):
             sketch_norm_bounds(F=self.F)
-
-
-def apply_dense_feh(FE, H):
-    from sublra import apply_dense
-
-    return apply_dense(H, FE)
 
 
 class TestGaussianEstimate:
@@ -189,15 +181,6 @@ class TestResidualProbe:
         prev, _ = self.make_pair()
         assert residual_probe(prev, prev, 8, seed=1) == 0.0
 
-    def test_coordinate_mode_unit_probe(self):
-        c = 2.75
-        m, n = 6, 7
-        prev = Factored2.zero(m, n)
-        delta = np.zeros((m, 1)); delta[0, 0] = c
-        row = np.zeros((1, n)); row[0, 0] = 1.0
-        cur = Factored2(delta, row)
-        assert residual_probe(prev, cur, 1, mode="coordinate") == pytest.approx(c)
-
     def test_gaussian_probe_range(self):
         hits = 0
         trials = 200
@@ -225,5 +208,3 @@ class TestResidualProbe:
         prev, cur = self.make_pair()
         with pytest.raises(PreconditionError):
             residual_probe(prev, cur, 0)
-        with pytest.raises(ValueError):
-            residual_probe(prev, cur, 2, mode="sobol")

@@ -30,8 +30,10 @@ def test_spectrum_validation():
         SpectrumSpec(np.array([1.0, 2.0]))
     with pytest.raises(PreconditionError):
         SpectrumSpec(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        spectrum_by_name("medium", 128)
+    # the CLI's --kind allows only fast and slow, and so does the library
+    for kind in ("medium", "fastDecay", "slowDecay"):
+        with pytest.raises(ValueError, match="unknown spectrum kind"):
+            spectrum_by_name(kind, 128)
 
 
 def test_gen_synthetic_singular_values_match_spec():

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from sublra import MatrixMarketError, load_matrix, pad_matrix, save_matrix
-
-# deterministic and small, so the suite stays reproducible and quick
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def tricky_matrix():
@@ -103,6 +100,30 @@ def test_coordinate_index_out_of_range(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("sym, entries, line", [
+    ("general", "1 1 nan\n1 1 2.0\n", 4),
+    ("general", "1 2 1.0\n2 1 3.0\n1 2 1.0\n", 5),
+    ("symmetric", "2 1 5.0\n1 2 -7.0\n", 4),
+    ("symmetric", "1 1 1.0\n2 2 3.0\n1 1 1.0\n", 5),
+], ids=["nan-then-finite", "same-value", "mirrored", "diagonal"])
+def test_repeated_coordinate_names_later_line(tmp_path, sym, entries, line):
+    # a later line would overwrite the earlier one, hiding a bad value
+    path = tmp_path / "bad.mtx"
+    count = len(entries.splitlines())
+    path.write_text(f"%%MatrixMarket matrix coordinate real {sym}\n"
+                    f"2 2 {count}\n{entries}")
+    with pytest.raises(MatrixMarketError, match=f"line {line}: entry") as exc:
+        load_matrix(path)
+    assert exc.value.line == line
+
+
+def test_symmetric_coordinate_mirrors_each_entry(tmp_path):
+    path = tmp_path / "sym.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "2 2 3\n1 1 1.0\n2 1 5.0\n2 2 3.0\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 5.0], [5.0, 3.0]])
+
+
 def test_negative_entry_count_names_size_line(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -145,7 +166,6 @@ edge_values = np.array([[-0.0, 5e-324, 1e308],
                         [-1e308, -2.2250738585072014e-308, 0.1]])
 
 
-@PROPERTY_SETTINGS
 @given(M=finite_matrices)
 @example(M=edge_values)
 def test_array_format_round_trips_bit_for_bit(tmp_path_factory, M):
@@ -154,7 +174,6 @@ def test_array_format_round_trips_bit_for_bit(tmp_path_factory, M):
     assert load_matrix(path).tobytes() == M.tobytes()
 
 
-@PROPERTY_SETTINGS
 @given(M=finite_matrices)
 @example(M=edge_values)
 def test_coordinate_format_round_trips_values(tmp_path_factory, M):
@@ -174,7 +193,6 @@ index_tokens = st.one_of(st.integers(-1, 4).map(str),
                          st.sampled_from(["x", "1.0", "nan", "1e400"]))
 
 
-@PROPERTY_SETTINGS
 @given(data=st.data(), fmt=st.sampled_from(["array", "coordinate"]),
        sym=st.sampled_from(["general", "symmetric"]),
        m=st.integers(1, 3), n=st.integers(1, 3))

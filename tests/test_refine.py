@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sublra
 from sublra import (CountingAccessor, DimensionError, Factored2,
@@ -240,6 +242,37 @@ def test_refine_access_bound_formula():
     # one class pool per run: the whole run reads what one iteration may
     pooled_bound = (2 ** depth) * (2 * r_max * n + r_max * n)
     assert acc.distinct_accessed <= pooled_bound
+
+
+@st.composite
+def refine_arguments(draw):
+    """Small admissible (m, n, config): m and n are multiples of 2^depth
+    with 4 rho <= min(m, n)."""
+    depth = draw(st.integers(0, 3))
+    rho = draw(st.integers(1, 4))
+    block = 2 ** depth
+    fewest = -(-4 * rho // block)  # fewest blocks that hold 4 rho
+    m = block * draw(st.integers(fewest, fewest + 4))
+    n = block * draw(st.integers(fewest, fewest + 4))
+    config = RefineConfig(rho=rho, max_iters=draw(st.integers(1, 3)),
+                          depth=depth, seed=draw(st.integers(0, 2 ** 32)))
+    return m, n, config
+
+
+@settings(max_examples=30)
+@given(refine_arguments(), st.integers(0, 2 ** 32))
+def test_refine_invariants_on_small_inputs(arguments, gen_seed):
+    m, n, config = arguments
+    M = np.random.default_rng(gen_seed).standard_normal((m, n))
+    acc = CountingAccessor(M)
+    approx, _ = refine(acc, config)
+    r_max = 2 * config.rho
+    budget = 2 ** config.depth * (2 * r_max * n + r_max * m)
+    assert acc.distinct_accessed <= budget
+    assert approx.rank_bound <= config.rho
+    again, _ = refine(CountingAccessor(M), config)
+    assert again.A.tobytes() == approx.A.tobytes()
+    assert again.B.tobytes() == approx.B.tobytes()
 
 
 def test_refine_prefix_with_class_pool():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, apply_dense, apply_left, apply_right,
@@ -282,3 +284,36 @@ def test_pool_restricts_classes_and_keeps_unpooled_draw():
     with pytest.raises(PreconditionError):
         make_multiplier("ahad", 4 * 2 ** depth + 1, n, depth=depth, seed=0,
                         pool=(5, 4))
+
+
+@st.composite
+def abridged_arguments(draw):
+    """Any admissible (side, sketch_size, dim, depth, seed, pool) of an
+    abridged operator: dim = 2^depth b for b classes, and a pool of at most
+    b classes that holds the sketch's rows."""
+    depth = draw(st.integers(0, 4))
+    block = 2 ** depth
+    classes = draw(st.integers(1, 8))
+    pool_size = draw(st.none() | st.integers(1, classes))
+    most = classes if pool_size is None else pool_size
+    size = draw(st.integers(1, most * block))
+    seeds = st.integers(0, 2 ** 64 - 1)
+    pool = None if pool_size is None else (draw(seeds), pool_size)
+    return (draw(st.sampled_from(["left", "right"])), size, classes * block,
+            depth, draw(seeds), pool)
+
+
+@given(abridged_arguments())
+def test_abridged_operator_invariants(arguments):
+    side, size, dim, depth, seed, pool = arguments
+    op = make_multiplier("ahad", size, dim, depth=depth, seed=seed,
+                         side=side, pool=pool)
+    W = op.to_dense() if side == "left" else op.to_dense().T
+    assert np.abs(W @ W.T - np.eye(size)).max() <= 1e-12
+    assert np.all(np.count_nonzero(W, axis=1) == 2 ** depth)
+    assert np.all(np.abs(W[W != 0]) == 2.0 ** (-depth / 2.0))
+    if pool is not None:
+        assert np.unique(op.positions).size <= pool[1] * 2 ** depth
+    clone = from_descriptor(op.descriptor())
+    assert clone.positions.tobytes() == op.positions.tobytes()
+    assert clone.values.tobytes() == op.values.tobytes()

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sublra import (DimensionError, Factored2, PreconditionError,
                     QRPFallbackWarning, materialize, recompress, topsvd_of_lra,
@@ -51,6 +53,23 @@ def test_svd_retries_gesdd_failure_with_gesvd():
     s_gesvd = la.svd(W, compute_uv=False, lapack_driver="gesvd")
     assert np.abs(s - s_gesvd).max() <= 1e-12
     assert np.abs((U * s) @ Vt - W).max() <= 1e-12
+
+
+@given(st.data())
+def test_matches_dense_svd_property(data):
+    m = data.draw(st.integers(1, 24), label="m")
+    n = data.draw(st.integers(1, 24), label="n")
+    k = data.draw(st.integers(1, min(m, n)), label="k")
+    rho = data.draw(st.integers(1, k), label="rho")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    L = Factored2(rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+    T = topsvd_of_lra(L, rho)
+    D = L.A @ L.B
+    s = np.linalg.svd(D, compute_uv=False)
+    assert np.abs(T.sigma - s[:rho]).max() <= 1e-10 * s[0]
+    # any optimal rank-rho block misses D by exactly sigma_{rho+1}
+    tail = s[rho] if rho < s.size else 0.0
+    assert abs(np.linalg.norm(D - materialize(T), 2) - tail) <= 1e-10 * s[0]
 
 
 def test_matches_full_svd_oracle():
