@@ -4,13 +4,15 @@
 multiplier) pair it runs the refinement a number of independent trials and
 averages the per-iteration error ratios before and after truncation.  Ratios
 come from one ``core.RatioOracle`` per input (re-exported here): its
-denominator sigma_{rho+1} is one cached full SVD of the input, and each
-numerator ||M - L||_2 is the top singular value of the dense difference,
-found by ``core.spectral_norm``'s Golub-Kahan-Lanczos rather than a full
-SVD.  Both run on numpy's BLAS, like the refinement, so ``run_bench``
-calls no scipy BLAS.  That oracle work reads the raw matrix directly and is
-excluded from the access counters, which only ever see the sketch
-applications.
+denominator sigma_{rho+1} is the last of the input's rho + 1 largest
+singular values, found once by ``core.top_singular_values``'s block
+Rayleigh-Ritz, and each numerator ||M - L||_2 is the top singular value of
+the dense difference, found by ``core.spectral_norm``'s Golub-Kahan-Lanczos;
+neither takes a full SVD.  Both run on numpy's BLAS, like the refinement,
+so ``run_bench`` calls no scipy BLAS.  That oracle work reads the raw matrix
+directly and is excluded from the access counters, which only ever see the
+sketch applications.  Every input's rho is checked against its shape before
+any oracle is built.
 
 ``audit_pipeline`` demonstrates the structural limit of superfast
 approximation: any pipeline that skips an entry (i, j) returns identical
@@ -103,8 +105,11 @@ def run_bench(spec):
 
     Each trial draws independent multipliers from a per-trial seed; trial
     results are aggregated by trial index, so the output is reproducible
-    byte for byte from (inputs, spec.seed).
+    byte for byte from (inputs, spec.seed).  An input whose rho breaks
+    4 rho <= min(m, n) raises PreconditionError before any oracle is built.
     """
+    for binput in spec.inputs:
+        RefineConfig(rho=binput.rho).validate_for(binput.matrix.shape)
     rows = []
     for binput in spec.inputs:
         oracle = RatioOracle(binput.matrix, binput.rho)

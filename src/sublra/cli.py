@@ -76,9 +76,11 @@ def _refine_config(args):
 
 def cmd_refine(args):
     M, label = _resolve_input(args)
+    config = _refine_config(args)
+    config.validate_for(M.shape)
     acc = CountingAccessor(M)
     evaluator = RatioOracle(M, args.rho) if args.ratios else None
-    approx, report = refine(acc, _refine_config(args), evaluator=evaluator)
+    approx, report = refine(acc, config, evaluator=evaluator)
     print(f"input: {label} shape {M.shape}")
     print(report.summary())
     if args.out:

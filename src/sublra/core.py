@@ -9,9 +9,11 @@ sparse ledger (a row set, a column set and a list of sampled entries) of
 O(m + n + sampled entries) memory, so counting costs no m-by-n mask.
 
 ``spectral_norm`` is a Golub-Kahan-Lanczos bidiagonalization written in
-numpy, and ``RatioOracle`` takes its denominator from ``numpy.linalg.svd``,
-so the error-ratio oracle runs on the same OpenBLAS thread pool as the
-refinement; only ``truncate_svd`` calls scipy.
+numpy, and ``RatioOracle`` takes its denominator sigma_{rho+1} from the top
+rho + 1 singular values by ``top_singular_values``, a block Rayleigh-Ritz
+in numpy, not from a full SVD of the input.  So the error-ratio oracle runs
+on the same OpenBLAS thread pool as the refinement; only ``truncate_svd``
+calls scipy.
 """
 
 from dataclasses import dataclass
@@ -378,11 +380,58 @@ def spectral_norm(D):
         f"Lanczos did not converge in {LANCZOS_MAX_RESTARTS} restarts")
 
 
+TOP_SV_OVERSAMPLE = 20  # block columns past the k wanted
+TOP_SV_MAX_SWEEPS = 12  # products D @ X before the dense fallback
+TOP_SV_TOL = 1e-13      # residual bound, in units of the top Ritz value
+
+
+def top_singular_values(D, k):
+    """The k largest singular values of a dense matrix, largest first.
+
+    Randomized subspace iteration with Rayleigh-Ritz (Halko, Martinsson,
+    Tropp, SIAM Review 2011): from a fixed seed-0 normal start block X of
+    k + TOP_SV_OVERSAMPLE columns, each sweep takes Q from a thin QR of
+    D X, the SVD of D^T Q = P diag(s) W^T gives the Ritz triples
+    (s_i, Q w_i, p_i), and X = P starts the next sweep.  D^T (Q w_i) =
+    s_i p_i holds by construction, so the next product D X also yields
+    the residuals ||D p_i - s_i Q w_i||; the values are returned once the
+    k leading residuals are all at most TOP_SV_TOL times s_1.  A block as
+    wide as min(m, n) spans the whole row or column space, so small inputs
+    are exact after one projection.  When the largest residual has not
+    halved per sweep on average since the first test (a spectrum with no
+    gap past k), or TOP_SV_MAX_SWEEPS products have passed, the values come
+    from the dense values-only SVD instead.  The start block is fixed, so
+    repeated calls return the same bits, and all the work runs on numpy's
+    BLAS.  k larger than min(m, n) returns all min(m, n) values.
+    """
+    m, n = D.shape
+    k = min(k, m, n)
+    X = np.random.default_rng(0).standard_normal(
+        (n, min(k + TOP_SV_OVERSAMPLE, m, n)))
+    s = U = first = None
+    for sweep in range(TOP_SV_MAX_SWEEPS):
+        Y = D @ X
+        if s is not None:
+            res = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0).max()
+            if res <= TOP_SV_TOL * s[0]:
+                return s[:k]
+            if first is None:
+                first = res
+            if res > first * 0.5 ** (sweep - 1):
+                break
+        Q = np.linalg.qr(Y)[0]
+        X, s, Wt = np.linalg.svd(D.T @ Q, full_matrices=False)
+        U = Q @ Wt.T
+    return np.linalg.svd(D, compute_uv=False)[:k]
+
+
 class RatioOracle:
     """Spectral-error ratio ||M - L||_2 / ||M - M_rho||_2 against a fixed M.
 
-    The denominator sigma_{rho+1}(M) comes from one full SVD of M (numpy's
-    gesdd) when the oracle is built.  Each call forms the dense difference
+    The denominator sigma_{rho+1}(M) is the last of M's rho + 1 largest
+    singular values, found by ``top_singular_values``'s block Rayleigh-Ritz
+    when the oracle is built; ``sigma`` holds those leading values, not the
+    whole spectrum.  Each call forms the dense difference
     M - L once and takes its top singular value by ``spectral_norm``'s
     Golub-Kahan-Lanczos, which agrees with a full SVD of the difference to
     rounding.  All of it runs on numpy's BLAS, the pool refine uses, so an
@@ -399,7 +448,7 @@ class RatioOracle:
             raise DimensionError(f"rho={rho} out of range for shape {M.shape}")
         self.M = M
         self.rho = rho
-        self.sigma = np.linalg.svd(M, compute_uv=False)
+        self.sigma = top_singular_values(M, rho + 1)
         self.tau = float(self.sigma[rho]) if rho < min(M.shape) else 0.0
         self.degenerate = self.tau < DEGENERATE_GAP * float(self.sigma[0])
 

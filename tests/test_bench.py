@@ -29,6 +29,19 @@ def test_run_bench_row_shape_and_determinism():
     assert bench_csv(rows1) == bench_csv(rows2)
 
 
+def test_run_bench_checks_every_rho_before_any_oracle(monkeypatch):
+    # the second input's rho breaks 4 rho <= n; no oracle of either input
+    # is built, so the first input's spectrum is never computed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ratio oracle built before rho was checked")
+
+    monkeypatch.setattr("sublra.bench.RatioOracle", forbidden)
+    spec = tiny_spec()
+    spec.inputs.append(synthetic_input("slow", 128, rho=33, seed=1))
+    with pytest.raises(PreconditionError, match="4\\*rho"):
+        run_bench(spec)
+
+
 def test_bench_csv_schema():
     text = bench_csv(run_bench(tiny_spec()))
     lines = text.strip().split("\n")

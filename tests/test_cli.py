@@ -75,6 +75,22 @@ def test_refine_rejects_oversized_rho(matrix_file, capsys):
     assert main(["refine", "--input", str(path), "--rho", "64"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "refine --kind fast --n 128 --rho 40 --ratios",
+    "bench --n 128 --rho 40 --trials 1",
+])
+def test_oversized_rho_rejected_before_the_oracle(argv, monkeypatch, capsys):
+    # 4 rho <= min(m, n) is checked before M's spectrum is computed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ratio oracle built for an invalid rho")
+
+    monkeypatch.setattr("sublra.cli.RatioOracle", forbidden)
+    monkeypatch.setattr("sublra.bench.RatioOracle", forbidden)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4*rho <= min(m, n)" in captured.err
+
+
 def test_bench_quick_deterministic(tmp_path):
     args = ["bench", "--kind", "fast", "--n", "128", "--rho", "4",
             "--multiplier", "ahad", "--iters", "2", "--trials", "2",

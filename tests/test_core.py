@@ -9,7 +9,8 @@ from sublra import (CountingAccessor, DimensionError, Factored2,
                     as_dense, lra_sum, materialize, matrix_norm, refine,
                     relative_error_ratio, truncate_svd)
 from sublra import core
-from sublra.core import FINITE_CHECK_BLOCK, spectral_norm
+from sublra.core import (DEGENERATE_GAP, FINITE_CHECK_BLOCK, spectral_norm,
+                         top_singular_values)
 from sublra.matgen import (fast_decay_spectrum, gen_synthetic,
                            slow_decay_spectrum)
 
@@ -168,6 +169,123 @@ def test_spectral_norm_gives_up_after_restart_limit(monkeypatch):
     monkeypatch.setattr(core, "LANCZOS_MAX_RESTARTS", 0)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         spectral_norm(D)
+
+
+def _decaying(m, n, rate, rng):
+    """m x n matrix with singular values rate**i and Haar singular vectors."""
+    r = min(m, n)
+    U = la.qr(rng.standard_normal((m, r)), mode="economic")[0]
+    V = la.qr(rng.standard_normal((n, r)), mode="economic")[0]
+    return (U * rate ** np.arange(r)) @ V.T
+
+
+def _top_sv_inputs():
+    rng = np.random.default_rng(74)
+    return {
+        # sigma_21 = 0.5 sits just past the fast-decay input's 20-fold
+        # cluster at 1.0
+        "cluster": gen_synthetic(256, fast_decay_spectrum(256), seed=5),
+        "slow": gen_synthetic(256, slow_decay_spectrum(256), seed=6),
+        "tall": _decaying(500, 120, 0.8, rng),
+        "wide": _decaying(120, 500, 0.8, rng),
+        "rank3": rng.standard_normal((64, 3)) @ rng.standard_normal((3, 64)),
+        "gapless": rng.standard_normal((300, 300)),
+    }
+
+
+def _assert_top_values(D, k, got):
+    expected = np.linalg.svd(D, compute_uv=False)[:k]
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected)
+                  <= 1e-12 * expected + 1e-14 * expected[0])
+
+
+@pytest.mark.parametrize("name, k", [("cluster", 21), ("cluster", 9),
+                                     ("slow", 21), ("tall", 21),
+                                     ("wide", 21), ("rank3", 4)])
+def test_top_singular_values_agree_with_full_svd(name, k):
+    D = _top_sv_inputs()[name]
+    got = top_singular_values(D, k)
+    _assert_top_values(D, k, got)
+    assert np.array_equal(top_singular_values(D, k), got)  # same bits
+
+
+@pytest.mark.parametrize("shape, k", [((30, 50), 30), ((50, 30), 45),
+                                      ((1, 9), 2), ((9, 1), 1)])
+def test_top_singular_values_past_the_smaller_dimension(shape, k):
+    # a block as wide as min(m, n) spans everything: all values come back
+    D = np.random.default_rng(75).standard_normal(shape)
+    got = top_singular_values(D, k)
+    _assert_top_values(D, k, got)
+    assert got.size == min(shape)
+
+
+def test_top_singular_values_iterate_on_a_gapped_input(monkeypatch):
+    # the cluster input converges in sweeps: no dense SVD of D is taken
+    D = _top_sv_inputs()["cluster"]
+    svd = np.linalg.svd
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    top_singular_values(D, 21)
+    assert shapes and all(min(s) <= 41 for s in shapes)
+
+
+def test_top_singular_values_fall_back_when_budget_runs_out(monkeypatch):
+    D = _top_sv_inputs()["cluster"]
+    monkeypatch.setattr(core, "TOP_SV_MAX_SWEEPS", 0)
+    assert np.array_equal(top_singular_values(D, 21),
+                          np.linalg.svd(D, compute_uv=False)[:21])
+
+
+def test_top_singular_values_fall_back_on_a_gapless_spectrum():
+    # the Gaussian has no gap past index 21: the residuals stall and the
+    # values are the dense SVD's, bit for bit
+    D = _top_sv_inputs()["gapless"]
+    assert np.array_equal(top_singular_values(D, 21),
+                          np.linalg.svd(D, compute_uv=False)[:21])
+
+
+def test_ratio_oracle_keeps_degenerate_flag_and_leading_values():
+    inputs = _top_sv_inputs()
+    for name, rho in (("rank3", 3), ("cluster", 20), ("slow", 20)):
+        M = inputs[name]
+        s = np.linalg.svd(M, compute_uv=False)
+        oracle = RatioOracle(M, rho)
+        assert oracle.sigma.size == rho + 1
+        assert oracle.degenerate == (s[rho] < DEGENERATE_GAP * s[0])
+        assert abs(oracle.tau - s[rho]) <= 1e-12 * s[rho] + 1e-14 * s[0]
+    assert RatioOracle(inputs["rank3"], 3).degenerate
+
+
+def test_ratio_oracle_build_stays_small(monkeypatch):
+    # tracemalloc sees numpy's arrays but not the buffers numpy.linalg
+    # hands to LAPACK (a dense SVD copies all of M there), so the operands
+    # numpy.linalg receives are checked as well
+    n = 1024
+    M = gen_synthetic(n, fast_decay_spectrum(n), seed=8)
+    operands = []
+    for name in ("svd", "qr"):
+        fn = getattr(np.linalg, name)
+
+        def recorded(a, *args, _fn=fn, **kwargs):
+            operands.append(a.size)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        RatioOracle(M, 20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes / 2
+    assert max(operands) <= n * 41
 
 
 def test_relative_error_ratio_at_optimum():
