@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (CountingAccessor, Factored2, PreconditionError,
                    RatioOracle, as_dense, materialize, spectral_norm,
-                   truncate_svd)
+                   top_singular_values, truncate_svd)
 from .cur import nucleus_norm_bound, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
 from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
@@ -164,15 +164,15 @@ def bench_csv(rows):
 
 
 def spectra(M, top_count=50):
-    """Leading singular values of a dense matrix, largest first.
+    """The min(top_count, m, n) leading singular values of a dense matrix,
+    largest first, by the ratio oracle's ``core.top_singular_values``.
 
     The matrix is validated by ``as_dense``: an empty one raises
     DimensionError and a non-finite entry PreconditionError.
     """
     if top_count < 1:
         raise PreconditionError(f"top_count must be positive, got {top_count}")
-    s = np.linalg.svd(as_dense(M), compute_uv=False)
-    return s[:min(top_count, s.size)]
+    return top_singular_values(as_dense(M), top_count)
 
 
 def spectra_csv(M, top_count=50):

@@ -311,10 +311,10 @@ LANCZOS_MAX_RESTARTS = 100
 
 def _orthogonalize(x, Q):
     """Project x off the orthonormal rows of Q in place, by classical
-    Gram-Schmidt applied twice (one pass leaves rounding-level components)."""
-    if Q.shape[0]:
-        x -= (Q @ x) @ Q
-        x -= (Q @ x) @ Q
+    Gram-Schmidt applied twice (one pass leaves rounding-level components).
+    An empty Q subtracts exact zeros."""
+    x -= (Q @ x) @ Q
+    x -= (Q @ x) @ Q
 
 
 def spectral_norm(D):
@@ -328,16 +328,14 @@ def spectral_norm(D):
     vector) is at most machine epsilon times the Ritz value theta, ARPACK's
     ``tol=0`` test, and returns theta.  The start vector is fixed, so
     repeated calls on the same matrix return the same bits, and all the
-    work runs on numpy's BLAS, the pool that serves refine.  An all-zero
-    matrix (where Lanczos cannot start) and a single row or column are
-    answered directly.  Raises ``numpy.linalg.LinAlgError`` when the start
-    vector lies in D's null space or the test still fails after
+    work runs on numpy's BLAS, the pool that serves refine.  No case is
+    answered up front: the all-zero matrix breaks down at the first step
+    and returns 0.0, and a single row or column converges in one step, its
+    orthogonalized w exactly zero, to the bits of ``numpy.linalg.norm(D)``.
+    Raises ``numpy.linalg.LinAlgError`` when the start vector lies in the
+    null space of a nonzero D or the test still fails after
     LANCZOS_MAX_RESTARTS restarts.
     """
-    if min(D.shape) == 1:
-        return float(np.linalg.norm(D))
-    if not D.any():
-        return 0.0
     if D.shape[0] < D.shape[1]:
         D = D.T
     m, n = D.shape
@@ -360,6 +358,8 @@ def spectral_norm(D):
             B[j, j] = np.linalg.norm(u)
             if B[j, j] == 0.0:
                 if not j:
+                    if not D.any():
+                        return 0.0
                     raise np.linalg.LinAlgError(
                         "Lanczos start vector lies in the null space")
                 # D maps span V[:j + 1] into span U[:j]: an exact invariant

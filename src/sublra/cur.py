@@ -15,6 +15,7 @@ import scipy.linalg as la
 from .core import DimensionError, PreconditionError, TopSVD, materialize
 
 SIGMA_FLOOR = 1e-14
+NUCLEUS_H = 1.1  # growth parameter h > 1 of strong rank-revealing pivoting
 
 
 class SingularNucleusError(ValueError):
@@ -54,19 +55,17 @@ def rr_select(Q, count):
     return np.sort(piv[:count])
 
 
-def nucleus_norm_bound(m, n, rho, h=1.1, sigma_rho=1.0):
+def nucleus_norm_bound(m, n, rho, sigma_rho=1.0):
     """Bound t_{m,rho,h} t_{n,rho,h} / sigma_rho with
-    t_{q,s,h}^2 = (q - s) s h^2 + 1.
+    t_{q,s,h}^2 = (q - s) s h^2 + 1 and h = NUCLEUS_H.
 
     The bound holds for strong rank-revealing QR pivoting; with standard
     column pivoting it is a tested heuristic.
     """
-    if h <= 1.0:
-        raise ValueError("h must exceed 1")
     if sigma_rho <= 0:
         raise ValueError("sigma_rho must be positive")
-    t_m = np.sqrt((m - rho) * rho * h * h + 1.0)
-    t_n = np.sqrt((n - rho) * rho * h * h + 1.0)
+    t_m = np.sqrt((m - rho) * rho * NUCLEUS_H * NUCLEUS_H + 1.0)
+    t_n = np.sqrt((n - rho) * rho * NUCLEUS_H * NUCLEUS_H + 1.0)
     return float(t_m * t_n / sigma_rho)
 
 

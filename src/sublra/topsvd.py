@@ -12,10 +12,11 @@ the decay, but can break when one factor is flat (e.g. orthonormal).  Both
 cost O((m + n) k^2) flops, superfast relative to the m-by-n product whenever
 k^2 << min(m, n).
 
-The exact path's QRs and SVD run on ``numpy.linalg``, whose OpenBLAS also
-serves every matrix product of the refinement, so recompressing inside a
-refine run stays on one BLAS thread pool.  scipy is kept for what numpy does
-not offer: the gesvd retry and the pivoted QR.
+The exact path's QRs and both paths' core SVDs (one helper, ``_svd``) run
+on ``numpy.linalg``, whose OpenBLAS also serves every matrix product of the
+refinement, so recompressing inside a refine run stays on one BLAS thread
+pool.  scipy is kept for what numpy does not offer: the gesvd retry and the
+pivoted QR.
 """
 
 import warnings
@@ -84,28 +85,25 @@ def topsvd_of_lra_qrp(L, rho):
     the pivoting's growth, the reconstruction error is within
     sqrt(1 + h^2 (k - rho) rho) of the optimal sigma_{rho+1}; standard column
     pivoting is used here, so that factor is a tested heuristic, not a
-    guarantee.  A singular core falls back to the exact path with a warning.
+    guarantee.  When either pivoted diagonal or the core's singular values
+    fall below 1e-14 of their leading value, it warns and falls back to the
+    exact path.
     """
     _check_ranks(L, rho)
     Q, R, piva = la.qr(L.A, mode="economic", pivoting=True)
     Qb, Lt, pivb = la.qr(L.B.T, mode="economic", pivoting=True)
-    # pivoted diagonals are nonincreasing in magnitude; a collapse below
-    # roundoff scale means the rho-by-rho core carries no rank-rho signal
-    diag_r = np.abs(np.diag(R))
-    diag_l = np.abs(np.diag(Lt))
-    if (diag_r[rho - 1] <= 1e-14 * diag_r[0]
-            or diag_l[rho - 1] <= 1e-14 * diag_l[0]):
-        warnings.warn("singular pivoted core; falling back to exact top-SVD",
-                      QRPFallbackWarning, stacklevel=2)
-        return topsvd_of_lra(L, rho)
     # the leading rho pivots, put back in their original relative order,
     # permute the columns of R and the rows of Lt^T cut to rho-by-rho; the
     # operands are made C-contiguous because BLAS's summation order, and so
     # the core's last bits, depends on their layout
     core = (np.ascontiguousarray(R[:rho, np.argsort(piva[:rho])])
             @ np.ascontiguousarray(Lt.T[np.argsort(pivb[:rho]), :rho]))
-    Uc, s, Vct = la.svd(core)
-    if s[0] == 0.0 or s[rho - 1] <= 1e-14 * s[0]:
+    Uc, s, Vct = _svd(core)
+    # both pivoted diagonals and the core's singular values are
+    # nonincreasing in magnitude; a collapse of any of them below roundoff
+    # scale means the core carries no rank-rho signal
+    if any(d[rho - 1] <= 1e-14 * d[0]
+           for d in (np.abs(np.diag(R)), np.abs(np.diag(Lt)), s)):
         warnings.warn("singular pivoted core; falling back to exact top-SVD",
                       QRPFallbackWarning, stacklevel=2)
         return topsvd_of_lra(L, rho)

@@ -219,7 +219,7 @@ def test_c08_cur_reconstruction_and_nucleus():
         worst_rec = max(worst_rec,
                         np.linalg.norm(M - d.materialize())
                         / np.linalg.norm(M))
-        bound = 3.0 * nucleus_norm_bound(m, n, rho, h=1.1,
+        bound = 3.0 * nucleus_norm_bound(m, n, rho,
                                          sigma_rho=float(S.sigma[-1]))
         if la.svdvals(d.N)[0] > bound:
             bound_misses += 1

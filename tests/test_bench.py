@@ -150,6 +150,45 @@ def test_spectra_rejects_empty_matrix():
         spectra(np.zeros((0, 3)))
 
 
+def _spectra_inputs():
+    return {
+        # a 20-fold cluster at 1.0, then halving: gapped past index 21
+        "cluster": gen_synthetic(256, fast_decay_spectrum(256), seed=5),
+        "slow": gen_synthetic(256, slow_decay_spectrum(256), seed=6),
+        "gapless": np.random.default_rng(8).standard_normal((200, 150)),
+    }
+
+
+def test_spectra_iterates_on_a_gapped_input(monkeypatch):
+    # no dense SVD of the input: every operand is a block of top + 20 columns
+    M = _spectra_inputs()["cluster"]
+    svd = np.linalg.svd
+    widths = []
+
+    def recorded(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    spectra(M, 21)
+    assert widths and max(widths) <= 21 + 20
+
+
+@pytest.mark.parametrize("name", ["cluster", "slow", "gapless"])
+def test_spectra_agree_with_gesdd(name):
+    M = _spectra_inputs()[name]
+    got = spectra(M, 30)
+    expected = np.linalg.svd(M, compute_uv=False)[:30]
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected)
+                  <= 1e-12 * expected + 1e-14 * expected[0])
+
+
+def test_spectra_cap_at_the_smaller_dimension():
+    M = np.random.default_rng(9).standard_normal((7, 5))
+    assert spectra(M, 50).size == 5
+
+
 def test_spectra_csv_matches_oracle(tmp_path):
     import scipy.linalg as la
 

@@ -241,6 +241,8 @@ MALFORMED_INVOCATIONS = [
     ("spectra --input {overflow}", 3),
     ("spectra --input {nan}", 3),
     ("spectra --input {repeated}", 3),
+    ("spectra --input {empty}", 3),
+    ("refine --input {sizeless}", 3),
     ("refine --kind fast --n 128 --rho 33", 2),
     ("refine --kind fast --n 128 --rho 0", 2),
     ("refine --kind fast --n 128 --iters 0", 2),
@@ -292,9 +294,13 @@ def test_malformed_invocation_exit_code(argv, code, matrix_file, tmp_path,
     repeated = tmp_path / "repeated.mtx"
     repeated.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 2\n1 1 nan\n1 1 2.0\n")
+    empty = tmp_path / "empty.mtx"
+    empty.write_text("")
+    sizeless = tmp_path / "sizeless.mtx"
+    sizeless.write_text("%%MatrixMarket matrix array real general\n% c\n")
     paths = {"good": matrix_file[0], "missing": tmp_path / "missing.mtx",
              "garbled": garbled, "overflow": overflow, "nan": nan,
-             "repeated": repeated,
+             "repeated": repeated, "empty": empty, "sizeless": sizeless,
              "out": tmp_path / "out", "missing_dir": tmp_path / "no_such_dir"}
     assert main(argv.format(**paths).split()) == code
     captured = capsys.readouterr()

@@ -140,13 +140,19 @@ def test_spectral_norm_agrees_with_full_svd(name):
     assert spectral_norm(D) == got  # same bits on a repeat
 
 
-@pytest.mark.parametrize("shape", [(5, 4), (4, 5)])
+@pytest.mark.parametrize("shape", [(5, 4), (4, 5), (1, 9), (9, 1)])
 def test_spectral_norm_invariant_breakdown(shape):
-    # one nonzero entry: the second Lanczos step's left vector
-    # orthogonalizes to exactly zero, an exact invariant pair
+    # the zero matrix breaks down at the first Lanczos step; with one
+    # nonzero entry the second step's left vector orthogonalizes to exactly
+    # zero, an exact invariant pair; a single row or column converges in
+    # one step, its orthogonalized right vector exactly zero
     D = np.zeros(shape)
+    assert spectral_norm(D) == np.linalg.norm(D) == 0.0
     D[0, 0] = -2.0
-    assert spectral_norm(D) == pytest.approx(2.0, rel=1e-15)
+    assert spectral_norm(D) == np.linalg.norm(D) == 2.0
+    if min(shape) == 1:
+        D.flat[:] = np.linspace(-3.0, 5.0, D.size) / 7.0
+        assert spectral_norm(D) == np.linalg.norm(D)
 
 
 def test_spectral_norm_basis_stays_bounded():
@@ -355,6 +361,15 @@ def test_ratio_oracle_single_row_or_column(shape):
     assert r.value == pytest.approx(np.linalg.norm(M), rel=1e-15)
 
 
+def test_ratio_oracle_rejects_bad_rank_and_shape():
+    M = np.arange(12.0).reshape(3, 4)
+    for rho in (0, 4):
+        with pytest.raises(DimensionError, match="rho"):
+            RatioOracle(M, rho)
+    with pytest.raises(DimensionError, match="approx shape"):
+        RatioOracle(M, 1)(np.zeros((4, 3)))
+
+
 def test_ratio_oracle_repeatable():
     M = gen_synthetic(128, fast_decay_spectrum(128), seed=9)
     rng = np.random.default_rng(4)
@@ -441,6 +456,9 @@ class TestCountingAccessor:
         assert acc.first_unaccessed() == (1, 0)
         acc.read_full()
         assert acc.first_unaccessed() is None
+        by_cols = CountingAccessor(np.ones((2, 3)))
+        by_cols.read_cols([0, 1, 2])
+        assert by_cols.first_unaccessed() is None
 
     @pytest.mark.parametrize("seed", range(40))
     def test_ledger_matches_brute_force_mask(self, seed):

@@ -73,10 +73,8 @@ def test_singular_nucleus_rejected():
 
 def test_nucleus_norm_bound_values():
     assert nucleus_norm_bound(8, 8, 8, sigma_rho=0.25) == pytest.approx(4.0)
-    got = nucleus_norm_bound(1024, 1024, 10, h=1.1, sigma_rho=1.0)
+    got = nucleus_norm_bound(1024, 1024, 10, sigma_rho=1.0)
     assert got == pytest.approx(1014 * 10 * 1.21 + 1, rel=1e-12)
-    with pytest.raises(ValueError):
-        nucleus_norm_bound(8, 8, 4, h=1.0)
     with pytest.raises(ValueError):
         nucleus_norm_bound(8, 8, 4, sigma_rho=0.0)
 
@@ -87,7 +85,7 @@ def test_nucleus_norm_within_slack_bound():
     for t in range(trials):
         S = random_topsvd(128, 96, 8, seed=1000 + t)
         d = svd_to_cur(S)
-        bound = 3 * nucleus_norm_bound(128, 96, 8, h=1.1,
+        bound = 3 * nucleus_norm_bound(128, 96, 8,
                                        sigma_rho=float(S.sigma[-1]))
         if la.svdvals(d.N)[0] > bound:
             bad += 1

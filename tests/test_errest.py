@@ -10,6 +10,15 @@ from sublra.errest import _operator_norm
 from sublra.sketch import apply_left, apply_right
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda E: entry_lower_bound(E, 10, seed=1),
+    lambda E: gaussian_error_estimate(E, 10, 10, seed=1),
+], ids=["entry", "gaussian"])
+def test_estimators_read_only_through_an_accessor(estimate):
+    with pytest.raises(TypeError, match="CountingAccessor"):
+        estimate(np.ones((40, 30)))
+
+
 def test_entry_bound_zero_matrix():
     est = entry_lower_bound(CountingAccessor(np.zeros((8, 8))), 10, seed=1)
     assert est.lower_bound == 0.0

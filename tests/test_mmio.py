@@ -92,6 +92,43 @@ def test_non_finite_value_names_its_line(tmp_path, text, line, token):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("%%MatrixMarket matrix dense real general\n1 1\n0\n", 1,
+     "unsupported format 'dense'"),
+    ("%%MatrixMarket matrix array complex general\n1 1\n0\n", 1,
+     "unsupported field 'complex'"),
+    ("%%MatrixMarket matrix array real hermitian\n1 1\n0\n", 1,
+     "unsupported symmetry 'hermitian'"),
+    ("", 1, "empty file"),
+    ("%%MatrixMarket matrix array real general\n% only a comment\n\n", 3,
+     "missing size line"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2\n", 2,
+     "size line must have 3 integers"),
+    ("%%MatrixMarket matrix array real general\n2 two\n1\n2\n", 2,
+     "size line must contain integers"),
+    ("%%MatrixMarket matrix array real general\n% c\n0 3\n", 3,
+     "matrix dimensions must be positive"),
+    ("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n", 2,
+     "symmetric matrix must be square"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
+     "2 2\n", 4, "coordinate entry must be 'i j value'"),
+], ids=["format", "field", "symmetry", "empty", "no-size-line",
+        "size-token-count", "size-non-integer", "nonpositive-dimension",
+        "non-square-symmetric", "coordinate-token-count"])
+def test_malformed_file_names_its_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+
+
+def test_save_rejects_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unsupported format 'x'"):
+        save_matrix(np.eye(2), tmp_path / "m.mtx", fmt="x")
+
+
 def test_coordinate_index_out_of_range(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"
