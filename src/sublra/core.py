@@ -332,12 +332,33 @@ def spectral_norm(D):
     answered up front: the all-zero matrix breaks down at the first step
     and returns 0.0, and a single row or column converges in one step, its
     orthogonalized w exactly zero, to the bits of ``numpy.linalg.norm(D)``.
-    Raises ``numpy.linalg.LinAlgError`` when the start vector lies in the
-    null space of a nonzero D or the test still fails after
-    LANCZOS_MAX_RESTARTS restarts.
+    Entries near the square root of the largest double or above overflow
+    the sums of squares behind alpha_j and beta_j; when one comes out
+    non-finite, the run is repeated once on D times the power of two that
+    brings max|D| into [0.5, 1), and theta is scaled back by the same power,
+    exactly.  Raises ``numpy.linalg.LinAlgError`` when the start vector lies
+    in the null space of a nonzero D, the test still fails after
+    LANCZOS_MAX_RESTARTS restarts, or the scaled run is still not finite
+    (D holds an inf or a NaN).
     """
     if D.shape[0] < D.shape[1]:
         D = D.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow is answered below by a run on a scaled D
+        theta = _golub_kahan_top(D)
+    if theta is None:
+        # frexp's exponent is also 0 for an inf or a NaN maximum
+        exponent = np.frexp(np.abs(D).max())[1]
+        theta = _golub_kahan_top(np.ldexp(D, -exponent))
+        if theta is None:
+            raise np.linalg.LinAlgError("Lanczos values are not finite")
+        theta = float(np.ldexp(theta, exponent))
+    return theta
+
+
+def _golub_kahan_top(D):
+    """``spectral_norm`` of a matrix with at least as many rows as columns,
+    or None when an alpha or a beta comes out non-finite."""
     m, n = D.shape
     k = min(LANCZOS_BASIS, n)
     U = np.empty((k, m))
@@ -356,6 +377,8 @@ def spectral_norm(D):
                 u -= B[j - 1, j] * U[j - 1]
             _orthogonalize(u, U[:j])
             B[j, j] = np.linalg.norm(u)
+            if not np.isfinite(B[j, j]):
+                return None
             if B[j, j] == 0.0:
                 if not j:
                     if not D.any():
@@ -370,6 +393,8 @@ def spectral_norm(D):
             w -= B[j, j] * V[j]
             _orthogonalize(w, V[:j + 1])
             B[j, j + 1] = np.linalg.norm(w)
+            if not np.isfinite(B[j, j + 1]):
+                return None
             P, s, Qt = np.linalg.svd(B[:j + 1, :j + 1])
             if B[j, j + 1] * abs(P[j, 0]) <= eps * s[0]:
                 return float(s[0])

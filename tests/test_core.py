@@ -177,6 +177,24 @@ def test_spectral_norm_gives_up_after_restart_limit(monkeypatch):
         spectral_norm(D)
 
 
+@pytest.mark.parametrize("D, s", [
+    (np.arange(1.0, 10).reshape(1, 9) * 1e160, 1e160),
+    (np.random.default_rng(75).standard_normal((6, 5)) * 1e160, 1e160),
+    (np.random.default_rng(76).standard_normal((6, 5)) * 1e300, 1e300),
+], ids=["row-1e160", "gaussian-1e160", "gaussian-1e300"])
+def test_spectral_norm_survives_overflowing_squares(D, s):
+    # the squares of entries near 1e160 overflow; the retry on a scaled D
+    # must give the norm of the unscaled matrix, not inf or an error
+    want = np.linalg.norm(D / s, 2) * s
+    assert spectral_norm(D) == pytest.approx(want, rel=1e-14)
+    assert spectral_norm(D.T) == pytest.approx(want, rel=1e-14)
+
+
+def test_spectral_norm_rejects_non_finite_entries():
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        spectral_norm(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+
+
 def _decaying(m, n, rate, rng):
     """m x n matrix with singular values rate**i and Haar singular vectors."""
     r = min(m, n)

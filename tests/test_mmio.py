@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,6 +7,125 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from sublra import MatrixMarketError, load_matrix, pad_matrix, save_matrix
+from sublra.core import PreconditionError, as_dense
+from sublra.mmio import MAX_ENTRIES, _non_ascii_error, _parse_header
+
+
+def reference_load_matrix(path):
+    """The line-at-a-time reader that ``load_matrix`` must agree with:
+    the same bits, or the same MatrixMarketError message and line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise _non_ascii_error(path) from None
+    if not lines:
+        raise MatrixMarketError("empty file", 1)
+    fmt, _, sym = _parse_header(lines[0], 1)
+
+    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
+            if ln.strip() and not ln.lstrip().startswith("%")]
+    if not body:
+        raise MatrixMarketError("missing size line", len(lines))
+
+    sizeno, sizeline = body[0]
+    sizes = sizeline.split()
+    want = 3 if fmt == "coordinate" else 2
+    if len(sizes) != want:
+        raise MatrixMarketError(f"size line must have {want} integers", sizeno)
+    try:
+        sizes = [int(tok) for tok in sizes]
+    except ValueError:
+        raise MatrixMarketError("size line must contain integers", sizeno) from None
+    m, n = sizes[0], sizes[1]
+    if m < 1 or n < 1:
+        raise MatrixMarketError("matrix dimensions must be positive", sizeno)
+    if m * n > MAX_ENTRIES:
+        raise MatrixMarketError(
+            f"dimension overflow: {m}x{n} exceeds {MAX_ENTRIES} entries", sizeno)
+    if sym == "symmetric" and m != n:
+        raise MatrixMarketError("symmetric matrix must be square", sizeno)
+    if fmt == "coordinate" and sizes[2] < 0:
+        raise MatrixMarketError("entry count must be nonnegative", sizeno)
+
+    entries = body[1:]
+    M = np.zeros((m, n))
+    if fmt == "array":
+        values = []
+        for lineno, ln in entries:
+            for tok in ln.split():
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise MatrixMarketError(f"bad value {tok!r}", lineno) from None
+        expect = m * n if sym == "general" else m * (m + 1) // 2
+        if len(values) != expect:
+            lineno = entries[-1][0] if entries else sizeno
+            raise MatrixMarketError(
+                f"expected {expect} values, found {len(values)}", lineno)
+        it = iter(values)
+        for j in range(n):
+            for i in range(j if sym == "symmetric" else 0, m):
+                v = next(it)
+                M[i, j] = v
+                if sym == "symmetric":
+                    M[j, i] = v
+    else:
+        nnz = sizes[2]
+        if len(entries) != nnz:
+            lineno = entries[-1][0] if entries else sizeno
+            raise MatrixMarketError(
+                f"expected {nnz} entry lines, found {len(entries)}", lineno)
+        seen = {}
+        for lineno, ln in entries:
+            toks = ln.split()
+            if len(toks) != 3:
+                raise MatrixMarketError("coordinate entry must be 'i j value'", lineno)
+            try:
+                i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
+            except ValueError:
+                raise MatrixMarketError(f"bad entry {ln!r}", lineno) from None
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
+            first = seen.setdefault(
+                (i, j) if sym == "general" or i >= j else (j, i), lineno)
+            if first != lineno:
+                raise MatrixMarketError(
+                    f"entry ({i}, {j}) repeats line {first}", lineno)
+            M[i - 1, j - 1] = v
+            if sym == "symmetric":
+                M[j - 1, i - 1] = v
+    try:
+        return as_dense(M)
+    except PreconditionError:
+        for lineno, ln in entries:
+            for tok in ln.split():
+                if not math.isfinite(float(tok)):
+                    raise MatrixMarketError(
+                        f"non-finite value {tok!r}", lineno) from None
+        raise
+
+
+def reference_save_matrix(M, path, fmt="array", comment=""):
+    """The per-value writer whose bytes ``save_matrix`` must reproduce."""
+    M = as_dense(M)
+    m, n = M.shape
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"%%MatrixMarket matrix {fmt} real general\n")
+        if comment:
+            for piece in comment.splitlines():
+                fh.write(f"%{piece}\n")
+        if fmt == "array":
+            fh.write(f"{m} {n}\n")
+            fh.writelines(f"{v:.17g}\n" for v in M.T.ravel().tolist())
+        else:
+            rows, cols = np.nonzero(M)
+            fh.write(f"{m} {n} {rows.size}\n")
+            fh.writelines(
+                f"{i + 1} {j + 1} {v:.17g}\n"
+                for i, j, v in zip(rows.tolist(), cols.tolist(),
+                                   M[rows, cols].tolist()))
+
 
 
 def tricky_matrix():
@@ -220,6 +341,66 @@ def test_coordinate_format_round_trips_values(tmp_path_factory, M):
     assert np.array_equal(load_matrix(path), M)
 
 
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@given(M=finite_matrices, comment=st.sampled_from(["", "one line",
+                                                   "two\nlines", "%x\n\n"]))
+@example(M=edge_values, comment="edge values")
+@example(M=np.zeros((3, 2)), comment="")
+@example(M=np.array([[5e-324, -0.0], [1e308, -1e308],
+                     [-2.2250738585072014e-308, 2.2250738585072014e-308]]),
+         comment="subnormals and extremes")
+def test_writer_bytes_match_per_value_reference(tmp_path_factory, fmt, M,
+                                                comment):
+    where = tmp_path_factory.mktemp("writer")
+    save_matrix(M, where / "got.mtx", fmt=fmt, comment=comment)
+    reference_save_matrix(M, where / "want.mtx", fmt=fmt, comment=comment)
+    assert ((where / "got.mtx").read_bytes()
+            == (where / "want.mtx").read_bytes())
+
+
+def test_all_zero_coordinate_file_has_no_entries(tmp_path):
+    path = tmp_path / "zero.mtx"
+    save_matrix(np.zeros((3, 2)), path, fmt="coordinate")
+    assert path.read_text() == ("%%MatrixMarket matrix coordinate real general"
+                                "\n3 2 0\n")
+    assert load_matrix(path).tobytes() == np.zeros((3, 2)).tobytes()
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text", [
+    ARRAY + "2 2\n1.5\n\n% between\n  %also\n-0.0 3\n\n4e-320\n",
+    ARRAY.replace("\n", "\r\n") + "2 1\r\n% c\r\n1\r\n\r\n2\r\n",
+    COORD + "2 2 2\n% c\n1 2 1.5\n\n  % 1 1 9\n2 1 -0.0\n",
+    "%%MatrixMarket matrix array real symmetric\n2 2\n-0.0\n% c\n-0.0\n1\n",
+    "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 -0.0\n"
+    "% c\n2 2 5\n",
+    COORD + "2 2 1\n99999999999999999999 1 1.0\n",
+    COORD + "2 2 1\n1 -99999999999999999999 1.0\n",
+    ARRAY + "2 1\n1.0 % 2.0\n",
+    COORD + "2 2 1\n1 1 1.0 % c\n",
+    COORD + "2 2 2\n1 1\n1.0 2 2 3.0\n",
+    COORD + "2 2 2\n1 1 inf\n3 1 1.0\n",
+], ids=["array-comments-blanks", "array-crlf", "coordinate-comments",
+        "symmetric-array-negative-zero", "symmetric-coordinate-comment",
+        "index-past-int64", "index-below-int64", "array-percent-in-line",
+        "coordinate-percent-in-line", "coordinate-split-entry",
+        "range-before-non-finite"])
+def test_loader_matches_reference_on_edge_files(tmp_path, text):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        want = reference_load_matrix(path)
+    except MatrixMarketError as exc:
+        with pytest.raises(MatrixMarketError) as got:
+            load_matrix(path)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert load_matrix(path).tobytes() == want.tobytes()
+
+
 value_tokens = st.one_of(
     st.sampled_from(["0", "-0", "1.5", "1e400", "-1e999", "nan", "NaN",
                      "inf", "-Infinity", "x", "%", "1_0", "0x1p3", "e5",
@@ -227,7 +408,12 @@ value_tokens = st.one_of(
     st.integers(-4, 8).map(str),
     st.floats().map(repr))
 index_tokens = st.one_of(st.integers(-1, 4).map(str),
-                         st.sampled_from(["x", "1.0", "nan", "1e400"]))
+                         st.sampled_from(["x", "1.0", "nan", "1e400", "%",
+                                          "1_0", "99999999999999999999",
+                                          "-99999999999999999999"]))
+# lines slipped in among the others: blank, whitespace-only and comments
+extra_lines = st.sampled_from(["", "   ", "\t", "% a comment", "  %1 2 3",
+                               "%"])
 
 
 @given(data=st.data(), fmt=st.sampled_from(["array", "coordinate"]),
@@ -236,7 +422,8 @@ index_tokens = st.one_of(st.integers(-1, 4).map(str),
 def test_token_soup_loads_or_raises_matrix_market_error(
         tmp_path_factory, data, fmt, sym, m, n):
     # entry counts are drawn near the size line's, so that most soups get
-    # past the count checks to the values themselves
+    # past the count checks to the values themselves; every soup must load
+    # to the reference reader's bits or fail with its message and line
     n = m if sym == "symmetric" else n
     if fmt == "array":
         count = m * n if sym == "general" else m * (m + 1) // 2
@@ -252,11 +439,22 @@ def test_token_soup_loads_or_raises_matrix_market_error(
         entry = st.tuples(index_tokens, index_tokens, value_tokens)
         body = [" ".join(e) for e in data.draw(
             st.lists(entry, min_size=max(nnz - 1, 0), max_size=nnz + 1))]
+    lines = [f"%%MatrixMarket matrix {fmt} real {sym}", size] + body
+    # inserted from the back, so that each position counts original lines
+    for at, extra in sorted(data.draw(st.lists(
+            st.tuples(st.integers(1, len(lines)), extra_lines),
+            max_size=3)), reverse=True):
+        lines.insert(at, extra)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    end = data.draw(st.sampled_from([newline, ""]))
     path = tmp_path_factory.mktemp("soup") / "m.mtx"
-    path.write_text("\n".join([f"%%MatrixMarket matrix {fmt} real {sym}",
-                               size] + body) + "\n")
+    path.write_bytes((newline.join(lines) + end).encode("ascii"))
     try:
         M = load_matrix(path)
-    except MatrixMarketError:
+    except MatrixMarketError as exc:
+        with pytest.raises(MatrixMarketError) as want:
+            reference_load_matrix(path)
+        assert (str(exc), exc.line) == (str(want.value), want.value.line)
         return
     assert M.shape == (m, n) and np.isfinite(M).all()
+    assert M.tobytes() == reference_load_matrix(path).tobytes()
