@@ -23,7 +23,7 @@ from .mmio import MatrixMarketError, load_matrix, pad_matrix, save_matrix
 from .refine import (IterationRecord, RefineConfig, RefinementReport,
                      refine, sketch_rank_r_approx)
 from .sketch import (SketchOperator, apply_dense, apply_left, apply_right,
-                     apply_to_factored, from_descriptor, make_multiplier)
+                     apply_to_factored, make_multiplier)
 from .topsvd import (QRPFallbackWarning, recompress, topsvd_of_lra,
                      topsvd_of_lra_qrp)
 

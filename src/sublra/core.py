@@ -333,13 +333,16 @@ def spectral_norm(D):
     and returns 0.0, and a single row or column converges in one step, its
     orthogonalized w exactly zero, to the bits of ``numpy.linalg.norm(D)``.
     Entries near the square root of the largest double or above overflow
-    the sums of squares behind alpha_j and beta_j; when one comes out
-    non-finite, the run is repeated once on D times the power of two that
-    brings max|D| into [0.5, 1), and theta is scaled back by the same power,
-    exactly.  Raises ``numpy.linalg.LinAlgError`` when the start vector lies
-    in the null space of a nonzero D, the test still fails after
-    LANCZOS_MAX_RESTARTS restarts, or the scaled run is still not finite
-    (D holds an inf or a NaN).
+    the sums of squares behind alpha_j and beta_j, and entries near the
+    square root of the smallest double or below underflow them, so that the
+    first alpha of a nonzero D comes out zero.  On either, a non-finite
+    alpha or beta or that first-step breakdown, the run is repeated once on
+    D times the power of two that brings max|D| into [0.5, 1), and theta is
+    scaled back by the same power, exactly.  Raises
+    ``numpy.linalg.LinAlgError`` when the scaled run is still not finite
+    (D holds an inf or a NaN) or still breaks down at the first step (the
+    start vector lies in the null space of D), or when the test still fails
+    after LANCZOS_MAX_RESTARTS restarts.
     """
     if D.shape[0] < D.shape[1]:
         D = D.T
@@ -351,14 +354,19 @@ def spectral_norm(D):
         exponent = np.frexp(np.abs(D).max())[1]
         theta = _golub_kahan_top(np.ldexp(D, -exponent))
         if theta is None:
-            raise np.linalg.LinAlgError("Lanczos values are not finite")
+            if not np.isfinite(D).all():
+                raise np.linalg.LinAlgError("Lanczos values are not finite")
+            # max|D| in [0.5, 1) neither overflows nor underflows a square
+            raise np.linalg.LinAlgError(
+                "Lanczos start vector lies in the null space")
         theta = float(np.ldexp(theta, exponent))
     return theta
 
 
 def _golub_kahan_top(D):
     """``spectral_norm`` of a matrix with at least as many rows as columns,
-    or None when an alpha or a beta comes out non-finite."""
+    or None when an alpha or a beta comes out non-finite or the first alpha
+    of a nonzero D comes out zero."""
     m, n = D.shape
     k = min(LANCZOS_BASIS, n)
     U = np.empty((k, m))
@@ -381,10 +389,7 @@ def _golub_kahan_top(D):
                 return None
             if B[j, j] == 0.0:
                 if not j:
-                    if not D.any():
-                        return 0.0
-                    raise np.linalg.LinAlgError(
-                        "Lanczos start vector lies in the null space")
+                    return None if D.any() else 0.0
                 # D maps span V[:j + 1] into span U[:j]: an exact invariant
                 # pair, whose top singular value is that of B[:j, :j + 1]
                 return float(np.linalg.norm(B[:j, :j + 1], 2))

@@ -2,8 +2,10 @@
 
 Random inputs are built as U diag(values) V^T where U and V are the left and
 right singular-vector factors of one seeded standard Gaussian matrix.  The
-generator is numpy's PCG64, so a recorded 64-bit seed replays a matrix
-exactly.
+generator is numpy's PCG64, so a recorded 64-bit seed replays the Gaussian
+exactly, but the matrix only at a fixed BLAS thread count: the bits of the
+singular vectors that the SVD returns depend on it (at n=1024 they differ
+between one and two OpenBLAS threads).
 """
 
 from dataclasses import dataclass

@@ -1,10 +1,14 @@
 """Sketch-based rank-r correction and the iterative refinement driver.
 
-Refinement never reads the input matrix directly: each iteration draws new
-multipliers F (2r x m) and H (n x r), forms the residual sketches
-F E = F M - F Mtilde and E H = M H - Mtilde H, fits a rank-r correction from
-the sketches alone, adds it to the running approximation, and truncates back
-to the target rank.  The rank-r fit (two thin QRs and a pseudo-inverse) is:
+Refinement reads the input matrix only through sketches.  One step of
+classical iterative refinement, ``_step``, takes multipliers F (2r x m) and
+H (n x r), forms the residual sketches F E = F M - F Mtilde and
+E H = M H - Mtilde H, fits a rank-r correction from the sketches alone and
+adds it to the running approximation Mtilde; it is the only code that reads
+M.  The driver, ``refine``, draws new F and H for every step, checks that
+nothing read M after it, evaluates the sum, truncates it back to the target
+rank and records the iteration.  The rank-r fit (two thin QRs and a
+pseudo-inverse) is:
 
     Q  <- Q factor of the thin QR of E H
     U, T <- thin QR of F Q
@@ -190,14 +194,23 @@ def _run_seeds(master_seed, max_iters):
     return iterations, master.generate_state(2, dtype=np.uint64).tolist()
 
 
+def _step(M, approx, F, H):
+    """One step of classical refinement: approx plus a rank-r correction of
+    its residual E = M - approx, fitted from the sketches F E and E H, which
+    are the only reads of M."""
+    FE = apply_left(F, M) - apply_to_factored(F, approx)
+    EH = apply_right(M, H) - apply_to_factored(H, approx)
+    return lra_sum(approx, sketch_rank_r_approx(FE, EH, F))
+
+
 def refine(M, config, evaluator=None):
     """Iteratively refine a low-rank approximation of M through sketches.
 
-    M is a CountingAccessor; all raw reads happen inside the sketch
-    applications, which the driver checks in every iteration.  ``evaluator``,
-    when given, is called with each pre-truncation and post-truncation
-    iterate to fill the report's error ratios; it must not read through the
-    accessor, and a read raises RuntimeError.
+    M is a CountingAccessor; all raw reads happen inside ``_step``, and the
+    driver checks in every iteration that nothing reads M after it.
+    ``evaluator``, when given, is called with each pre-truncation and
+    post-truncation iterate to fill the report's error ratios; it must not
+    read through the accessor, and a read raises RuntimeError.
 
     Runs exactly ``config.max_iters`` iterations and returns
     (approximation, report); the approximation has rank at most rho.
@@ -212,19 +225,14 @@ def refine(M, config, evaluator=None):
     seeds, (pool_f, pool_h) = _run_seeds(config.seed, config.max_iters)
     r_max = 2 * config.rho
 
-    for i in range(config.max_iters):
+    for i, (seed_f, seed_h) in enumerate(seeds):
         r = approx.rank_bound + config.rho
-        seed_f, seed_h = seeds[i]
         F = make_multiplier(config.multiplier, 2 * r, m, depth=config.depth,
                             seed=seed_f, side="left", pool=(pool_f, 2 * r_max))
         H = make_multiplier(config.multiplier, r, n, depth=config.depth,
                             seed=seed_h, side="right", pool=(pool_h, r_max))
-        FE = apply_left(F, M) - apply_to_factored(F, approx)
-        EH = apply_right(M, H) - apply_to_factored(H, approx)
-        reads_after_sketch = M.total_reads
-
-        delta = sketch_rank_r_approx(FE, EH, F)
-        updated = lra_sum(approx, delta)
+        updated = _step(M, approx, F, H)
+        reads_after_step = M.total_reads
         rank_before = updated.rank_bound
         ratio_before = None if evaluator is None else float(evaluator(updated))
         if updated.rank_bound > config.rho:
@@ -233,10 +241,10 @@ def refine(M, config, evaluator=None):
         else:
             approx = updated
             ratio_after = ratio_before
-        if M.total_reads != reads_after_sketch:
+        if M.total_reads != reads_after_step:
             raise RuntimeError(
                 f"input read outside sketch application in iteration {i}: "
-                f"{M.total_reads - reads_after_sketch} entries")
+                f"{M.total_reads - reads_after_step} entries")
 
         report.records.append(IterationRecord(
             iteration=i,

@@ -38,22 +38,17 @@ class SketchOperator:
 
     ``sketch_size`` is r', ``dim`` the long axis n.  Abridged operators store
     a sparse row list (positions, values) of the wide r'-by-n form; Gaussian
-    operators store it densely.  Construction is fully determined by
-    (kind, side, sketch_size, dim, depth, seed, pool), which is what
-    ``descriptor()`` serializes; ``pool`` is None unless the operator's rows
-    come from a class pool that leaves some classes out.
+    operators store it densely.  ``make_multiplier`` builds every operator
+    from its arguments alone, so the same arguments rebuild it.
     """
 
     kind: str
     side: str
     sketch_size: int
     dim: int
-    depth: Optional[int]
-    seed: int
     positions: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
     dense: Optional[np.ndarray] = None
-    pool: Optional[tuple] = None
 
     @property
     def shape(self):
@@ -69,26 +64,6 @@ class SketchOperator:
             wide = np.zeros((self.sketch_size, self.dim))
             np.put_along_axis(wide, self.positions, self.values, axis=1)
         return wide if self.side == "left" else wide.T
-
-    def descriptor(self):
-        d = -1 if self.depth is None else self.depth
-        pool = "" if self.pool is None else ";pool=%d:%d" % self.pool
-        return (f"{self.kind};side={self.side};size={self.sketch_size};"
-                f"dim={self.dim};depth={d};seed={self.seed}{pool}")
-
-
-def from_descriptor(text):
-    """Rebuild an operator from its ``descriptor()`` string."""
-    head, *fields = text.strip().split(";")
-    kv = dict(item.split("=", 1) for item in fields)
-    depth = int(kv["depth"])
-    pool = kv.get("pool")
-    return make_multiplier(head, int(kv["size"]), int(kv["dim"]),
-                           depth=None if depth < 0 else depth,
-                           seed=int(kv["seed"]), side=kv["side"],
-                           pool=None if pool is None
-                           else tuple(int(x) for x in pool.split(":")))
-
 
 def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
                     pool=None):
@@ -113,8 +88,7 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
     if kind == "gaussian":
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((sketch_size, dim))
-        return SketchOperator("gaussian", side, sketch_size, dim, None, seed,
-                              dense=dense)
+        return SketchOperator("gaussian", side, sketch_size, dim, dense=dense)
     if kind != "ahad":
         raise ValueError(f"unknown multiplier kind {kind!r}")
     if depth < 0:
@@ -130,7 +104,7 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
     t = np.arange(block)
     rng = np.random.default_rng(seed)
     if pool is not None and pool[1] < b:
-        pool_seed, pool_size = pool = (int(pool[0]), int(pool[1]))
+        pool_seed, pool_size = pool
         if sketch_size > pool_size * block:
             raise PreconditionError(
                 f"sketch_size={sketch_size} exceeds the {pool_size * block} "
@@ -139,15 +113,14 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
         candidates = (classes[:, None] + b * t[None, :]).ravel()
         rows = rng.choice(candidates, size=sketch_size, replace=False)
     else:
-        pool = None
         rows = rng.choice(dim, size=sketch_size, replace=False)
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     positions = t[None, :] * b + (rows % b)[:, None]
     # bitwise_count gives uint8, which 1 - 2 * parity would wrap to 255
     parity = np.bitwise_count((rows // b)[:, None] & t).astype(np.int64) & 1
     values = (2.0 ** (-depth / 2.0)) * (1 - 2 * parity) * signs[positions]
-    return SketchOperator("ahad", side, sketch_size, dim, depth, seed,
-                          positions=positions, values=values, pool=pool)
+    return SketchOperator("ahad", side, sketch_size, dim, positions=positions,
+                          values=values)
 
 
 def _oriented(op, X, positions=None):

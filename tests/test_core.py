@@ -181,10 +181,16 @@ def test_spectral_norm_gives_up_after_restart_limit(monkeypatch):
     (np.arange(1.0, 10).reshape(1, 9) * 1e160, 1e160),
     (np.random.default_rng(75).standard_normal((6, 5)) * 1e160, 1e160),
     (np.random.default_rng(76).standard_normal((6, 5)) * 1e300, 1e300),
-], ids=["row-1e160", "gaussian-1e160", "gaussian-1e300"])
+    (np.arange(1.0, 10).reshape(1, 9) * 1e-170, 1e-170),
+    (np.arange(1.0, 10).reshape(1, 9) * 1e-300, 1e-300),
+    (np.random.default_rng(77).standard_normal((6, 5)) * 1e-170, 1e-170),
+    (np.random.default_rng(78).standard_normal((6, 5)) * 1e-300, 1e-300),
+], ids=["row-1e160", "gaussian-1e160", "gaussian-1e300", "row-1e-170",
+        "row-1e-300", "gaussian-1e-170", "gaussian-1e-300"])
 def test_spectral_norm_survives_overflowing_squares(D, s):
-    # the squares of entries near 1e160 overflow; the retry on a scaled D
-    # must give the norm of the unscaled matrix, not inf or an error
+    # the squares of entries near 1e160 overflow, and those of entries near
+    # 1e-170 underflow to a zero first alpha; the retry on a scaled D must
+    # give the norm of the unscaled matrix, not inf or an error
     want = np.linalg.norm(D / s, 2) * s
     assert spectral_norm(D) == pytest.approx(want, rel=1e-14)
     assert spectral_norm(D.T) == pytest.approx(want, rel=1e-14)

@@ -16,7 +16,7 @@ from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, RatioOracle, RefineConfig, materialize,
                     recompress, refine, sketch_rank_r_approx, make_multiplier)
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
-from sublra.refine import RankDeficientSketchWarning
+from sublra.refine import RankDeficientSketchWarning, _step
 
 
 def rank_r_matrix(m, n, r, seed):
@@ -35,6 +35,21 @@ def test_subalgorithm_exact_recovery(kind):
     delta = sketch_rank_r_approx(apply_left(F, acc), apply_right(acc, H), F)
     assert delta.rank_bound == r
     assert np.linalg.norm(materialize(delta) - E) <= 1e-9 * np.linalg.norm(E)
+
+
+@pytest.mark.parametrize("kind", ["ahad", "gaussian"])
+def test_step_recovers_low_rank_residual(kind):
+    # classical refinement: when the residual M - approx has rank at most r,
+    # one step from a nonzero approx lands on M up to rounding
+    m, n, r = 128, 96, 5
+    rng = np.random.default_rng(67)
+    approx = Factored2(rng.standard_normal((m, 7)), rng.standard_normal((7, n)))
+    M = materialize(approx) + rank_r_matrix(m, n, r, seed=68)
+    F = make_multiplier(kind, 2 * r, m, depth=3, seed=69)
+    H = make_multiplier(kind, r, n, depth=3, seed=70, side="right")
+    updated = _step(CountingAccessor(M), approx, F, H)
+    assert updated.rank_bound == 7 + r
+    assert np.linalg.norm(materialize(updated) - M) <= 1e-9 * np.linalg.norm(M)
 
 
 def test_subalgorithm_zero_input():
@@ -157,7 +172,8 @@ def test_refine_schedule_pinned(multiplier, n, seed):
 
 def test_perfbench_traced_mode_patches_refine():
     # the traced benchmark wraps sublra functions by name; a removed or
-    # renamed one must fail here, not only in a traced benchmark run
+    # renamed one, or a call that bypasses a wrapped name, must fail here,
+    # not only as a per-layer metric of a traced benchmark run that reads 0
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -167,11 +183,15 @@ def test_perfbench_traced_mode_patches_refine():
     original = driver_module.sketch_rank_r_approx
     M = rank_r_matrix(32, 32, 4, seed=65)
     with tracing.Patches(recorder):
-        refine(CountingAccessor(M), RefineConfig(rho=2, max_iters=2))
+        driver_module.refine(CountingAccessor(M),
+                             RefineConfig(rho=2, max_iters=2))
     assert driver_module.sketch_rank_r_approx is original
     names = {s[0] for s in recorder.spans}
-    assert {"refine.fit", "topsvd.recompress", "sketch.apply_left",
-            "core.accessor.read"} <= names
+    assert {"refine.driver", "refine.fit", "refine.lra_sum",
+            "sketch.make_multiplier", "sketch.apply_left",
+            "sketch.apply_right", "sketch.apply_to_factored",
+            "topsvd.recompress", "core.accessor.read",
+            "core.accessor.init", "core.accessor.ledger"} <= names
 
 
 def test_refine_driver_reads_only_in_sketches():
@@ -281,7 +301,6 @@ def test_refine_prefix_with_class_pool():
     assert 2 * r_max < n >> depth  # the pool leaves classes out
     op = make_multiplier("ahad", 2 * r_max, n, depth=depth, seed=31,
                          pool=(8, 2 * r_max))
-    assert op.pool == (8, 2 * r_max)
     W = op.to_dense()
     assert np.all((W != 0).sum(axis=1) == 2 ** depth)
     assert np.allclose(np.abs(W[W != 0]), 2.0 ** (-depth / 2), rtol=0, atol=0)
