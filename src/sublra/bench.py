@@ -31,7 +31,7 @@ import numpy as np
 from .core import (CountingAccessor, Factored2, PreconditionError,
                    RatioOracle, as_dense, materialize, spectral_norm,
                    top_singular_values, truncate_svd)
-from .cur import nucleus_norm_bound, svd_to_cur
+from .cur import nucleus_norm_bound, reconstruction_error, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
 from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
 from .refine import RefineConfig, refine
@@ -306,7 +306,7 @@ def property_suite(M, rho, seed=0):
           f"{acc.distinct_accessed} of {m * n} entries read, bound {bound}")
 
     cur = svd_to_cur(S)
-    cur_err = float(np.linalg.norm(materialize(S) - cur.materialize()))
+    cur_err = reconstruction_error(S, cur)
     norm_n = spectral_norm(cur.N)
     bound = 3.0 * nucleus_norm_bound(m, n, rho, sigma_rho=float(S.sigma[-1]))
     check("cur-reconstruction", cur_err <= 1e-10 * np.linalg.norm(materialize(S)),

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .core import DimensionError, PreconditionError, TopSVD, materialize
+from .core import (DimensionError, PreconditionError, TopSVD, materialize,
+                   matrix_norm)
 
 SIGMA_FLOOR = 1e-14
 NUCLEUS_H = 1.1  # growth parameter h > 1 of strong rank-revealing pivoting
@@ -101,4 +102,4 @@ def svd_to_cur(S, k=None, l=None):
 
 def reconstruction_error(S, decomp):
     """Frobenius norm of U Sigma V^T - C N R, for reporting."""
-    return float(np.linalg.norm(materialize(S) - decomp.materialize()))
+    return matrix_norm(materialize(S) - decomp.materialize(), "frobenius")

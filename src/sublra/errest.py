@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import CountingAccessor, DimensionError, PreconditionError, matrix_norm
+from .core import (CountingAccessor, DimensionError, PreconditionError,
+                   _scale_safe, matrix_norm)
 
 MIN_IID_SAMPLES = 100
 IID_CONFIDENCE = 0.95  # coverage of gaussian_error_estimate's band
@@ -123,8 +124,9 @@ def gaussian_error_estimate(E, q, s, seed=0):
     sampled max |entry| is kept as the hard ``lower_bound``.  Under the model
     the truth falls within ``frobenius_confidence_band(q*s,
     IID_CONFIDENCE)`` times the estimate, and ``confidence`` reports
-    IID_CONFIDENCE.  The i.i.d. assumption is essential: a single spike
-    outside the sample goes undetected.
+    IID_CONFIDENCE.  Both moments are taken by ``core._scale_safe``, so the
+    estimate scales with E at any magnitude.  The i.i.d. assumption is
+    essential: a single spike outside the sample goes undetected.
     """
     if not isinstance(E, CountingAccessor):
         raise TypeError("gaussian_error_estimate reads through a CountingAccessor")
@@ -141,9 +143,8 @@ def gaussian_error_estimate(E, q, s, seed=0):
     rows = rng.choice(m, size=q, replace=False)
     cols = rng.choice(n, size=s, replace=False)
     sample = np.abs(E.read_submatrix(rows, cols)).ravel()
-    mu = float(sample.mean())
-    var = float(((sample - mu) ** 2).mean())
-    estimate = float(np.sqrt(m * n * (var + mu * mu)))
+    estimate = float(_scale_safe(sample, lambda a: np.sqrt(
+        m * n * (a.var() + a.mean() * a.mean()))))
     return ErrorEstimate(lower_bound=float(sample.max()),
                          upper_bound=estimate,
                          confidence=IID_CONFIDENCE,

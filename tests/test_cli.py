@@ -1,11 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from sublra import load_matrix
-from sublra.cli import main
+from sublra.cli import build_parser, main
 from sublra.matgen import gen_synthetic, slow_decay_spectrum
 from sublra.mmio import save_matrix
 
@@ -117,6 +119,18 @@ def test_estimate_methods(matrix_file, tmp_path, capsys):
     assert main(["estimate", "--input", str(path), "--method", "sketch",
                  "--sketch-size", "16", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("method,lower_bound")
+
+
+def test_estimate_gaussian_on_a_tiny_scaled_file(matrix_file, tmp_path,
+                                                capsys):
+    # the sample's variance underflows unless it is taken on a scaled copy;
+    # a valid file must not fail as a precondition error
+    _, M = matrix_file
+    path = tmp_path / "tiny.mtx"
+    save_matrix(M * 1e-170, path)
+    assert main(["estimate", "--input", str(path), "--method", "gaussian",
+                 "--q", "10", "--s", "10"]) == 0
+    assert "upper_bound=" in capsys.readouterr().out
 
 
 def test_estimate_gaussian_rejects_negative_sizes(matrix_file, capsys):
@@ -307,3 +321,21 @@ def test_malformed_invocation_exit_code(argv, code, matrix_file, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_readme_cli_examples_parse():
+    # every "sublra ..." command of README's CLI block, with backslash
+    # continuations joined and comments dropped, is parsed and never run;
+    # a renamed or removed flag fails here, not in a reader's shell
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    parser = build_parser()
+    parsed = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["sublra"]:
+            parsed.append(parser.parse_args(argv[1:]).command)
+    assert len(parsed) == 8
+    assert set(parsed) == {"gen", "spectra", "refine", "bench", "estimate",
+                           "cur", "audit"}

@@ -181,19 +181,33 @@ def test_spectral_norm_gives_up_after_restart_limit(monkeypatch):
     (np.arange(1.0, 10).reshape(1, 9) * 1e160, 1e160),
     (np.random.default_rng(75).standard_normal((6, 5)) * 1e160, 1e160),
     (np.random.default_rng(76).standard_normal((6, 5)) * 1e300, 1e300),
+    (np.arange(1.0, 10).reshape(1, 9) * 1e-160, 1e-160),
+    (np.random.default_rng(77).standard_normal((6, 5)) * 1e-160, 1e-160),
     (np.arange(1.0, 10).reshape(1, 9) * 1e-170, 1e-170),
     (np.arange(1.0, 10).reshape(1, 9) * 1e-300, 1e-300),
     (np.random.default_rng(77).standard_normal((6, 5)) * 1e-170, 1e-170),
     (np.random.default_rng(78).standard_normal((6, 5)) * 1e-300, 1e-300),
-], ids=["row-1e160", "gaussian-1e160", "gaussian-1e300", "row-1e-170",
-        "row-1e-300", "gaussian-1e-170", "gaussian-1e-300"])
+], ids=["row-1e160", "gaussian-1e160", "gaussian-1e300", "row-1e-160",
+        "gaussian-1e-160", "row-1e-170", "row-1e-300", "gaussian-1e-170",
+        "gaussian-1e-300"])
 def test_spectral_norm_survives_overflowing_squares(D, s):
-    # the squares of entries near 1e160 overflow, and those of entries near
-    # 1e-170 underflow to a zero first alpha; the retry on a scaled D must
-    # give the norm of the unscaled matrix, not inf or an error
+    # the squares of entries near 1e160 overflow, those near 1e-160 are
+    # subnormal and lose bits, and those near 1e-170 underflow to zero;
+    # every alpha and beta is a norm of a vector scaled by a power of two,
+    # so the one Lanczos run gives the norm of the unscaled matrix, not an
+    # inexact value, inf or an error
+    # (abs=0: pytest's default absolute slack of 1e-12 would pass any
+    # value at these scales)
     want = np.linalg.norm(D / s, 2) * s
-    assert spectral_norm(D) == pytest.approx(want, rel=1e-14)
-    assert spectral_norm(D.T) == pytest.approx(want, rel=1e-14)
+    assert spectral_norm(D) == pytest.approx(want, rel=1e-14, abs=0)
+    assert spectral_norm(D.T) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-170])
+def test_frobenius_norm_survives_overflowing_squares(s):
+    D = np.random.default_rng(79).standard_normal((6, 5))
+    assert matrix_norm(D * s, "frobenius") == pytest.approx(
+        np.linalg.norm(D) * s, rel=1e-14, abs=0)
 
 
 def test_spectral_norm_rejects_non_finite_entries():
@@ -211,11 +225,14 @@ def _decaying(m, n, rate, rng):
 
 def _top_sv_inputs():
     rng = np.random.default_rng(74)
+    slow = gen_synthetic(256, slow_decay_spectrum(256), seed=6)
     return {
         # sigma_21 = 0.5 sits just past the fast-decay input's 20-fold
         # cluster at 1.0
         "cluster": gen_synthetic(256, fast_decay_spectrum(256), seed=5),
-        "slow": gen_synthetic(256, slow_decay_spectrum(256), seed=6),
+        "slow": slow,
+        # residual norms whose squares underflow must not stop the sweeps
+        "slow-1e-170": slow * 1e-170,
         "tall": _decaying(500, 120, 0.8, rng),
         "wide": _decaying(120, 500, 0.8, rng),
         "rank3": rng.standard_normal((64, 3)) @ rng.standard_normal((3, 64)),
@@ -231,7 +248,8 @@ def _assert_top_values(D, k, got):
 
 
 @pytest.mark.parametrize("name, k", [("cluster", 21), ("cluster", 9),
-                                     ("slow", 21), ("tall", 21),
+                                     ("slow", 21), ("slow-1e-170", 21),
+                                     ("tall", 21),
                                      ("wide", 21), ("rank3", 4)])
 def test_top_singular_values_agree_with_full_svd(name, k):
     D = _top_sv_inputs()[name]

@@ -113,6 +113,19 @@ class TestSketchNormBounds:
         op = make_multiplier("gaussian", 8, 64, seed=4)
         assert _operator_norm(op, "spectral") == matrix_norm(op.to_dense())
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_frobenius_bound_scales_with_the_input(self, scale):
+        # sums of squares of the scaled sketches overflow or underflow
+        def bound(E):
+            acc = CountingAccessor(E)
+            return sketch_norm_bounds(F=self.F, H=self.H,
+                                      FE=apply_left(self.F, acc),
+                                      EH=apply_right(acc, self.H),
+                                      kind="frobenius").lower_bound
+
+        assert bound(self.E * scale) == pytest.approx(
+            scale * bound(self.E), rel=1e-14, abs=0)
+
     def test_missing_operator_rejected(self):
         from sublra import DimensionError
 
@@ -131,6 +144,19 @@ class TestGaussianEstimate:
                                                 rel=1e-12)
         assert est.lower_bound == pytest.approx(abs(c))
         assert acc.distinct_accessed == 100
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_estimate_scales_with_the_input(self, scale):
+        # the sample's mean square overflows at 1e160 and its variance
+        # underflows at 1e-170
+        E = np.random.default_rng(3).standard_normal((128, 128))
+        want = gaussian_error_estimate(CountingAccessor(E), 10, 10, seed=2)
+        got = gaussian_error_estimate(CountingAccessor(E * scale), 10, 10,
+                                      seed=2)
+        assert got.upper_bound == pytest.approx(scale * want.upper_bound,
+                                                rel=1e-14, abs=0)
+        assert got.lower_bound == pytest.approx(scale * want.lower_bound,
+                                                rel=1e-14, abs=0)
 
     def test_sample_size_precondition(self):
         acc = CountingAccessor(np.ones((50, 50)))
