@@ -67,6 +67,17 @@ def cmd_spectra(args):
     return 0
 
 
+def _add_refine_args(p, rho):
+    """The flags ``_refine_config`` reads; all but rho default as in
+    RefineConfig."""
+    p.add_argument("--rho", type=int, default=rho)
+    p.add_argument("--iters", type=int, default=RefineConfig.max_iters)
+    p.add_argument("--multiplier", choices=["ahad", "gaussian"],
+                   default=RefineConfig.multiplier)
+    p.add_argument("--depth", type=int, default=RefineConfig.depth)
+    p.add_argument("--seed", type=int, default=RefineConfig.seed)
+
+
 def _refine_config(args):
     """The RefineConfig of the refine and audit subcommands' shared flags."""
     return RefineConfig(rho=args.rho, max_iters=args.iters,
@@ -196,12 +207,7 @@ def build_parser():
 
     p = sub.add_parser("refine", help="run sketch-based iterative refinement")
     _add_input_args(p)
-    p.add_argument("--rho", type=int, default=20)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--multiplier", choices=["ahad", "gaussian"],
-                   default="ahad")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_refine_args(p, rho=20)
     p.add_argument("--ratios", action="store_true",
                    help="also compute oracle error ratios (reads the full "
                         "matrix outside the counters)")
@@ -213,10 +219,10 @@ def build_parser():
     p.add_argument("--rho", type=int, default=20)
     p.add_argument("--multiplier", choices=["ahad", "gaussian", "both"],
                    default="both")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--iters", type=int, default=3)
+    p.add_argument("--depth", type=int, default=RefineConfig.depth)
+    p.add_argument("--iters", type=int, default=RefineConfig.max_iters)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=RefineConfig.seed)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -230,10 +236,10 @@ def build_parser():
     p.add_argument("--q", type=int, default=10)
     p.add_argument("--s", type=int, default=10)
     p.add_argument("--sketch-size", type=int, default=16)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=RefineConfig.depth)
     p.add_argument("--norm", choices=["spectral", "frobenius"],
                    default="spectral")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=RefineConfig.seed)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 
@@ -249,12 +255,7 @@ def build_parser():
                                      "pipeline")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--rho", type=int, default=4)
-    p.add_argument("--multiplier", choices=["ahad", "gaussian"],
-                   default="ahad")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_refine_args(p, rho=4)
     p.set_defaults(func=cmd_audit)
 
     return parser

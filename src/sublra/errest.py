@@ -120,13 +120,14 @@ def gaussian_error_estimate(E, q, s, seed=0):
     Draws q rows and s columns without replacement and reads exactly q*s
     entries.  With mu_K the mean of |entries| and sigma_K^2 their variance
     around it, sigma_K^2 + mu_K^2 is the sample mean square, so the estimate
-    sqrt(m n (sigma_K^2 + mu_K^2)) is reported as ``upper_bound``.  The
-    sampled max |entry| is kept as the hard ``lower_bound``.  Under the model
-    the truth falls within ``frobenius_confidence_band(q*s,
-    IID_CONFIDENCE)`` times the estimate, and ``confidence`` reports
-    IID_CONFIDENCE.  Both moments are taken by ``core._scale_safe``, so the
-    estimate scales with E at any magnitude.  The i.i.d. assumption is
-    essential: a single spike outside the sample goes undetected.
+    sqrt(m n (sigma_K^2 + mu_K^2)), but never less than the sampled max
+    |entry|, is reported as ``upper_bound``; that max is the hard
+    ``lower_bound``.  Under the model the truth falls within
+    ``frobenius_confidence_band(q*s, IID_CONFIDENCE)`` times the estimate,
+    and ``confidence`` reports IID_CONFIDENCE.  Both moments are taken by
+    ``core._scale_safe``, so the estimate scales with E at any magnitude.
+    The i.i.d. assumption is essential: a single spike outside the sample
+    goes undetected.
     """
     if not isinstance(E, CountingAccessor):
         raise TypeError("gaussian_error_estimate reads through a CountingAccessor")
@@ -145,8 +146,9 @@ def gaussian_error_estimate(E, q, s, seed=0):
     sample = np.abs(E.read_submatrix(rows, cols)).ravel()
     estimate = float(_scale_safe(sample, lambda a: np.sqrt(
         m * n * (a.var() + a.mean() * a.mean()))))
+    # a full sample's estimate can round below its max; the norm never is
     return ErrorEstimate(lower_bound=float(sample.max()),
-                         upper_bound=estimate,
+                         upper_bound=max(estimate, float(sample.max())),
                          confidence=IID_CONFIDENCE,
                          method="gaussian-iid",
                          sample_size=q * s)

@@ -7,14 +7,15 @@ E H = M H - Mtilde H, fits a rank-r correction from the sketches alone and
 adds it to the running approximation Mtilde; it is the only code that reads
 M.  The driver, ``refine``, draws new F and H for every step, checks that
 nothing read M after it, evaluates the sum, truncates it back to the target
-rank and records the iteration.  The rank-r fit (two thin QRs and a
-pseudo-inverse) is:
+rank and records the iteration.  The rank-r fit (a thin QR and a thin
+SVD) is:
 
     Q  <- Q factor of the thin QR of E H
-    U, T <- thin QR of F Q
-    correction = Q (T^+ U^T (F E))
+    W, s, V <- thin SVD of F Q = W diag(s) V^T
+    correction = Q (V diag(s^+) W^T (F E))
 
-which recovers E exactly whenever E has rank at most r and the sketches
+which, with s^+ zeroing the singular values at or below 1e-12 s_1,
+recovers E exactly whenever E has rank at most r and the sketches
 retain it.  Each iteration runs at r = rank + rho: r = rho first, then
 r = 2 rho, since every iterate is truncated back to rank rho.  A run takes
 exactly ``max_iters`` iterations.
@@ -30,7 +31,7 @@ sometimes carries the residual subtraction at higher precision, but at these
 problem scales float64 leaves the truncation level far below the optimal
 rank-rho error, so no mixed-precision path is provided.
 
-The QRs and the SVD run on ``numpy.linalg``, the same OpenBLAS that every
+The QR and the SVDs run on ``numpy.linalg``, the same OpenBLAS that every
 matrix product here uses, so one BLAS thread pool serves the whole run (see
 README, "Linear algebra").  numpy's QR does not reject inf or NaN, so the
 fit checks its sketches for finiteness itself.
@@ -54,8 +55,8 @@ REPORT_SCHEMA = "sublra-report-v1"
 
 
 class RankDeficientSketchWarning(UserWarning):
-    """The inner triangular factor was rank deficient; small singular values
-    of it were zeroed in the pseudo-inverse."""
+    """F Q was numerically rank deficient; its singular values at or below
+    1e-12 times the largest were zeroed in the fit's pseudo-inverse."""
 
 
 @dataclass
@@ -136,21 +137,6 @@ class RefinementReport:
         return "\n".join(lines)
 
 
-def _pinv_flagged(T):
-    """SVD pseudo-inverse with singular values below 1e-12 sigma_1 zeroed."""
-    U, s, Vt = np.linalg.svd(T, full_matrices=False)
-    cutoff = 1e-12 * s[0] if s[0] > 0 else 0.0
-    keep = s > cutoff
-    if not keep.all():
-        warnings.warn(
-            f"rank-deficient sketch core: zeroed {int((~keep).sum())} of "
-            f"{s.size} singular values in the pseudo-inverse",
-            RankDeficientSketchWarning, stacklevel=3)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (Vt.T * inv[None, :]) @ U.T
-
-
 def sketch_rank_r_approx(FE, EH, F):
     """Rank-r fit of an implicit matrix E from its two-sided sketches.
 
@@ -175,8 +161,16 @@ def sketch_rank_r_approx(FE, EH, F):
                 f"{name} has non-finite entries; the input may overflow "
                 f"float64 when sketched")
     Q = np.linalg.qr(EH)[0]
-    U, T = np.linalg.qr(apply_dense(F, Q))
-    return Factored2(Q, _pinv_flagged(T) @ (U.T @ FE))
+    W, s, Vt = np.linalg.svd(apply_dense(F, Q), full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    if not keep.all():
+        warnings.warn(
+            f"rank-deficient sketch core: zeroed {int((~keep).sum())} of "
+            f"{s.size} singular values in the pseudo-inverse",
+            RankDeficientSketchWarning, stacklevel=2)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return Factored2(Q, (Vt.T * inv) @ (W.T @ FE))
 
 
 def _run_seeds(master_seed, max_iters):

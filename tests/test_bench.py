@@ -251,6 +251,16 @@ def test_property_suite_all_pass():
     assert not failures, failures
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_property_suite_holds_at_extreme_scales(scale):
+    # the squares behind a plain Frobenius norm overflow at 1e160 and
+    # underflow at 1e-170
+    M = gen_synthetic(128, slow_decay_spectrum(128), seed=777)
+    results = property_suite(M * scale, rho=8, seed=3)
+    failures = [(n, d) for n, ok, d in results if not ok]
+    assert not failures, failures
+
+
 def test_property_suite_access_bound_is_the_pooled_budget():
     # 2^3 (2 r_max n + r_max m) with r_max = 8 is 0.75 of the 256-by-256
     # matrix, so a run that read every entry would fail the check

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from sublra import load_matrix
-from sublra.cli import build_parser, main
+from sublra import RefineConfig, load_matrix
+from sublra.cli import _refine_config, build_parser, main
 from sublra.matgen import gen_synthetic, slow_decay_spectrum
 from sublra.mmio import save_matrix
 
@@ -339,3 +339,14 @@ def test_readme_cli_examples_parse():
     assert len(parsed) == 8
     assert set(parsed) == {"gen", "spectra", "refine", "bench", "estimate",
                            "cur", "audit"}
+
+
+def test_run_flags_default_to_refine_config():
+    parser = build_parser()
+    for argv, rho in ((["refine"], 20), (["audit"], 4)):
+        assert _refine_config(parser.parse_args(argv)) == RefineConfig(rho=rho)
+    for argv in (["bench"], ["estimate"]):
+        args = parser.parse_args(argv)
+        assert (args.depth, args.seed) == (RefineConfig.depth,
+                                           RefineConfig.seed)
+    assert parser.parse_args(["bench"]).iters == RefineConfig.max_iters

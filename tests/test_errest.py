@@ -158,6 +158,17 @@ class TestGaussianEstimate:
         assert got.lower_bound == pytest.approx(scale * want.lower_bound,
                                                 rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("value", [1.0, 0.3, 7.1])
+    def test_full_sample_of_a_spike(self, value):
+        # sampling every entry makes the estimate equal the max in exact
+        # arithmetic; rounding must not put it below the lower bound
+        E = np.zeros((10, 10))
+        E[4, 6] = value
+        est = gaussian_error_estimate(CountingAccessor(E), 10, 10, seed=0)
+        assert est.lower_bound == value
+        assert est.upper_bound == pytest.approx(value, rel=1e-15)
+        assert est.upper_bound >= est.lower_bound
+
     def test_sample_size_precondition(self):
         acc = CountingAccessor(np.ones((50, 50)))
         with pytest.raises(PreconditionError):

@@ -17,6 +17,7 @@ from sublra import (CountingAccessor, DimensionError, Factored2,
                     recompress, refine, sketch_rank_r_approx, make_multiplier)
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
 from sublra.refine import RankDeficientSketchWarning, _step
+from sublra.sketch import apply_dense
 
 
 def rank_r_matrix(m, n, r, seed):
@@ -50,6 +51,53 @@ def test_step_recovers_low_rank_residual(kind):
     updated = _step(CountingAccessor(M), approx, F, H)
     assert updated.rank_bound == 7 + r
     assert np.linalg.norm(materialize(updated) - M) <= 1e-9 * np.linalg.norm(M)
+
+
+def reference_fit(FE, EH, F):
+    """The fit by its first formula: the thin QR U T of F Q, then the SVD
+    pseudo-inverse of T with singular values at or below 1e-12 sigma_1
+    zeroed.  Returns the dense correction and the number zeroed."""
+    Q = np.linalg.qr(EH)[0]
+    U, T = np.linalg.qr(apply_dense(F, Q))
+    Ut, s, Vt = np.linalg.svd(T)
+    keep = s > (1e-12 * s[0] if s[0] > 0 else 0.0)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return Q @ ((Vt.T * inv) @ Ut.T @ (U.T @ FE)), int((~keep).sum())
+
+
+@pytest.mark.parametrize("kind", ["ahad", "gaussian"])
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_fit_matches_the_qr_reference(kind, seed):
+    m, n, r = 128, 96, 6
+    E = np.random.default_rng(seed).standard_normal((m, n))
+    F = make_multiplier(kind, 2 * r, m, depth=3, seed=seed)
+    H = make_multiplier(kind, r, n, depth=3, seed=seed + 1, side="right")
+    FE, EH = apply_dense(F, E), apply_dense(H, E)
+    expected, zeroed = reference_fit(FE, EH, F)
+    assert zeroed == 0
+    got = materialize(sketch_rank_r_approx(FE, EH, F))
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind", ["ahad", "gaussian"])
+@pytest.mark.parametrize("blind", [1, 3])
+def test_fit_zeroes_what_the_qr_reference_zeroes(kind, blind):
+    # the last `blind` columns of EH lie in the null space of F, so F Q has
+    # rank r - blind and both fits drop that many singular values
+    m, n, r = 128, 96, 6
+    rng = np.random.default_rng(74 + blind)
+    F = make_multiplier(kind, 2 * r, m, depth=3, seed=75)
+    Fd = F.to_dense()
+    G = rng.standard_normal((m, r))
+    G[:, r - blind:] -= np.linalg.pinv(Fd) @ (Fd @ G[:, r - blind:])
+    FE = rng.standard_normal((2 * r, n))
+    expected, zeroed = reference_fit(FE, G, F)
+    assert zeroed == blind
+    with pytest.warns(RankDeficientSketchWarning,
+                      match=f"zeroed {blind} of {r} singular values"):
+        got = materialize(sketch_rank_r_approx(FE, G, F))
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_subalgorithm_zero_input():
