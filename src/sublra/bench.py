@@ -155,10 +155,9 @@ def bench_csv(rows):
     w.writerow(header)
     for r in rows:
         line = [BENCH_SCHEMA, r.input_label, r.multiplier, r.n, r.rho,
-                r.depth, r.iters, r.trials, r.seed,
-                "" if r.gen_seed is None else r.gen_seed, repr(r.itr1)]
-        for b, a in zip(r.before, r.after):
-            line += [repr(b), repr(a)]
+                r.depth, r.iters, r.trials, r.seed, r.gen_seed, r.itr1]
+        for pair in zip(r.before, r.after):
+            line += pair
         w.writerow(line)
     return buf.getvalue()
 
@@ -180,7 +179,7 @@ def spectra_csv(M, top_count=50):
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["index", "sigma"])
     for i, v in enumerate(spectra(M, top_count), start=1):
-        w.writerow([i, repr(float(v))])
+        w.writerow([i, float(v)])
     return buf.getvalue()
 
 
@@ -199,10 +198,7 @@ class AuditReport:
     implied_error: Optional[float] = None
 
     def to_json(self):
-        d = dict(self.__dict__)
-        if d["witness"] is not None:
-            d["witness"] = list(d["witness"])
-        return json.dumps(d)
+        return json.dumps(self.__dict__)
 
     def summary(self):
         if not self.superfast:

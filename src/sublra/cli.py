@@ -5,6 +5,8 @@ Subcommands: gen, spectra, refine, bench, estimate, cur, audit.  Exit codes:
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -140,12 +142,13 @@ def cmd_estimate(args):
     print(est.labeled())
     print(f"entries_read={acc.distinct_accessed}")
     if args.out:
-        _write_text(
-            "method,lower_bound,upper_bound,confidence,sample_size\n"
-            f"{est.method},{est.lower_bound!r},"
-            f"{'' if est.upper_bound is None else repr(est.upper_bound)},"
-            f"{'' if est.confidence is None else est.confidence},"
-            f"{est.sample_size}\n", args.out)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["method", "lower_bound", "upper_bound", "confidence",
+                    "sample_size"])
+        w.writerow([est.method, est.lower_bound, est.upper_bound,
+                    est.confidence, est.sample_size])
+        _write_text(buf.getvalue(), args.out)
     return 0
 
 

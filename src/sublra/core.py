@@ -348,9 +348,9 @@ def spectral_norm(D):
     converges in one step, its orthogonalized w exactly zero, to the bits of
     ``numpy.linalg.norm(D)`` wherever numpy's squares stay normal.  A finite
     D whose norm passes the largest double returns inf.  A D whose largest
-    entry is subnormal (below 2^-1022) loses bits in the unscaled products
-    D v_j: 200x150 Gaussians came out up to 7e-15 off at 1e-310 and 8e-10
-    off at 1e-315, against 1e-15 down to 1e-308.  Raises
+    entry is subnormal (below 2^-1022) is stored to fewer bits, but its norm
+    is as good in ulps: 200x150 Gaussians at 1e-310 to 1e-320 came out 1-6
+    ulps from the 2-norm of D scaled by 2^1100, and 3-7 at 1e-300.  Raises
     ``numpy.linalg.LinAlgError`` for an inf or a NaN entry, for a first-step
     breakdown on a nonzero D (the start vector lies in its null space), or
     when the test still fails after LANCZOS_MAX_RESTARTS restarts.

@@ -113,10 +113,9 @@ class RefinementReport:
         w.writerow(["schema", "iter", "ratio_before", "ratio_after", "rank",
                     "distinct_accesses", "total_reads"])
         for r in self.records:
-            w.writerow([REPORT_SCHEMA, r.iteration,
-                        "" if r.ratio_before is None else repr(r.ratio_before),
-                        "" if r.ratio_after is None else repr(r.ratio_after),
-                        r.rank_after, r.distinct_accesses, r.total_reads])
+            w.writerow([REPORT_SCHEMA, r.iteration, r.ratio_before,
+                        r.ratio_after, r.rank_after, r.distinct_accesses,
+                        r.total_reads])
         return buf.getvalue()
 
     def summary(self):

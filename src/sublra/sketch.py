@@ -20,14 +20,17 @@ pool read the same at most pool_size 2^d rows of the target between them,
 however many of them are drawn.
 
 A "right" operator is the transpose shape (n x r'), built the same way on
-columns.  Applications through a CountingAccessor are the only places the
-raw matrix is read; applications to factored forms never touch it.
+columns.  Each operator is stored as one matrix, its wide r'-by-n form W
+(CSR for the abridged kind, dense for the Gaussian one), and applied as one
+product, W @ X or X @ W^T.  Applications through a CountingAccessor are the
+only places the raw matrix is read; applications to factored forms never
+touch it.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .core import CountingAccessor, DimensionError, Factored2, PreconditionError
 
@@ -36,34 +39,43 @@ from .core import CountingAccessor, DimensionError, Factored2, PreconditionError
 class SketchOperator:
     """Test matrix F (side="left", r' x n) or H (side="right", n x r').
 
-    ``sketch_size`` is r', ``dim`` the long axis n.  Abridged operators store
-    a sparse row list (positions, values) of the wide r'-by-n form; Gaussian
-    operators store it densely.  ``make_multiplier`` builds every operator
-    from its arguments alone, so the same arguments rebuild it.
+    ``wide`` is the wide form W, ``sketch_size`` r' by ``dim`` n: F = W and
+    H = W^T.  An abridged W is a CSR array whose row i lists its 2^d
+    support columns in increasing order (``positions``, int64) with their
+    signed values (``values``); a Gaussian W is dense.  ``make_multiplier``
+    builds every operator from its arguments alone, so the same arguments
+    rebuild it.
     """
 
     kind: str
     side: str
-    sketch_size: int
-    dim: int
-    positions: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    dense: Optional[np.ndarray] = None
+    wide: object
+
+    @property
+    def sketch_size(self):
+        return self.wide.shape[0]
+
+    @property
+    def dim(self):
+        return self.wide.shape[1]
+
+    @property
+    def positions(self):
+        return self.wide.indices.astype(np.int64).reshape(self.sketch_size, -1)
+
+    @property
+    def values(self):
+        return self.wide.data.reshape(self.sketch_size, -1)
 
     @property
     def shape(self):
-        if self.side == "left":
-            return (self.sketch_size, self.dim)
-        return (self.dim, self.sketch_size)
+        return self.wide.shape[::1 if self.side == "left" else -1]
 
     def to_dense(self):
         """Materialized operator in its declared orientation."""
-        if self.kind == "gaussian":
-            wide = self.dense
-        else:
-            wide = np.zeros((self.sketch_size, self.dim))
-            np.put_along_axis(wide, self.positions, self.values, axis=1)
+        wide = self.wide.toarray() if self.kind == "ahad" else self.wide
         return wide if self.side == "left" else wide.T
+
 
 def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
                     pool=None):
@@ -87,8 +99,8 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
             f"sketch_size must be positive, got {sketch_size}")
     if kind == "gaussian":
         rng = np.random.default_rng(seed)
-        dense = rng.standard_normal((sketch_size, dim))
-        return SketchOperator("gaussian", side, sketch_size, dim, dense=dense)
+        return SketchOperator("gaussian", side,
+                              rng.standard_normal((sketch_size, dim)))
     if kind != "ahad":
         raise ValueError(f"unknown multiplier kind {kind!r}")
     if depth < 0:
@@ -119,29 +131,17 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
     # bitwise_count gives uint8, which 1 - 2 * parity would wrap to 255
     parity = np.bitwise_count((rows // b)[:, None] & t).astype(np.int64) & 1
     values = (2.0 ** (-depth / 2.0)) * (1 - 2 * parity) * signs[positions]
-    return SketchOperator("ahad", side, sketch_size, dim, positions=positions,
-                          values=values)
+    # row i's entries in increasing column order, the order W @ X adds them
+    wide = sparse.csr_array(
+        (values.ravel(), positions.ravel(),
+         np.arange(0, positions.size + 1, block)), shape=(sketch_size, dim))
+    return SketchOperator("ahad", side, wide)
 
 
-def _oriented(op, X, positions=None):
-    """The operator's product with a dense X in its declared orientation:
-    W @ X for a left operator, X @ W^T for a right one, W being the wide
-    r'-by-dim form.
-
-    For an abridged operator, ``positions`` may index the rows (left) or
-    columns (right) of a gathered block X in place of ``op.positions``,
-    which index those of the full target.
-    """
-    left = op.side == "left"
-    if op.kind == "gaussian":
-        return op.dense @ X if left else X @ op.dense.T
-    if positions is None:
-        positions = op.positions
-    Y = X if left else X.T
-    out = np.zeros((op.sketch_size, Y.shape[1]))
-    for t in range(positions.shape[1]):
-        out += op.values[:, t:t + 1] * Y[positions[:, t], :]
-    return out if left else out.T
+def _oriented(W, side, X):
+    """W @ X for a left operator, X @ W^T for a right one, W being the wide
+    form of the operator or its columns that meet a gathered block X."""
+    return W @ X if side == "left" else X @ W.T
 
 
 def _check_dim(op, shape, prefix=""):
@@ -159,7 +159,7 @@ def apply_dense(op, X):
     """
     X = np.asarray(X, dtype=np.float64)
     _check_dim(op, X.shape)
-    return _oriented(op, X)
+    return _oriented(op.wide, op.side, X)
 
 
 def _read_sketch(op, M, side):
@@ -170,10 +170,10 @@ def _read_sketch(op, M, side):
         raise TypeError(f"apply_{side} reads through a CountingAccessor")
     _check_dim(op, M.shape, "matrix ")
     if op.kind == "gaussian":
-        return _oriented(op, M.read_full())
-    unique = np.unique(op.positions)
+        return _oriented(op.wide, side, M.read_full())
+    unique = np.unique(op.wide.indices)
     read = M.read_rows if side == "left" else M.read_cols
-    return _oriented(op, read(unique), np.searchsorted(unique, op.positions))
+    return _oriented(op.wide[:, unique], side, read(unique))
 
 
 def apply_left(F, M):

@@ -270,3 +270,14 @@ def test_property_suite_access_bound_is_the_pooled_budget():
     ok, detail = results["refine-access-bound"]
     assert ok, detail
     assert detail.endswith(f"of {256 * 256} entries read, bound 49152")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: unsafeguarded refinement diverges on this input and "
+    "ends farther from M than the zero approximation"))
+def test_property_suite_refinement_makes_progress():
+    M = gen_synthetic(256, slow_decay_spectrum(256), seed=17)
+    results = {name: (ok, detail)
+               for name, ok, detail in property_suite(M, rho=4, seed=2)}
+    ok, detail = results["refine-progress"]
+    assert ok, detail

@@ -291,3 +291,74 @@ def test_abridged_operator_invariants(arguments):
                             side=side, pool=pool)
     assert again.positions.tobytes() == op.positions.tobytes()
     assert again.values.tobytes() == op.values.tobytes()
+
+
+def reference_oriented(op, X, positions=None):
+    """The gather loop that applied operators before they were stored as
+    one matrix, kept as the bitwise reference for the products: row i of
+    W @ X adds values[i, t] * X[positions[i, t]] for t = 0, 1, ..., 2^d - 1.
+    ``positions`` may index a gathered block in place of ``op.positions``."""
+    left = op.side == "left"
+    if op.kind == "gaussian":
+        return op.to_dense() @ X if left else X @ op.to_dense()
+    if positions is None:
+        positions = op.positions
+    Y = X if left else X.T
+    out = np.zeros((op.sketch_size, Y.shape[1]))
+    for t in range(positions.shape[1]):
+        out += op.values[:, t:t + 1] * Y[positions[:, t], :]
+    return out if left else out.T
+
+
+def reference_read(op, M):
+    """apply_left or apply_right by the gather loop on a dense M."""
+    if op.kind == "gaussian":
+        return reference_oriented(op, M)
+    unique = np.unique(op.positions)
+    block = M[unique, :] if op.side == "left" else M[:, unique]
+    return reference_oriented(op, block, np.searchsorted(unique, op.positions))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("depth", range(6))
+def test_products_match_the_gather_loop_bitwise(depth, pooled, side):
+    n, size = 128, 10
+    rng = np.random.default_rng(depth)
+    # fewer classes than the n / 2^d there are, enough rows for the sketch
+    pool = (4, -(-size >> depth) + 1) if pooled else None
+    op = make_multiplier("ahad", size, n, depth=depth, seed=11, side=side,
+                         pool=pool)
+    # the support order is the order in which a row's terms are added
+    assert np.all(np.diff(op.positions, axis=1) > 0)
+    M = rng.standard_normal((n, 96) if side == "left" else (96, n))
+    assert np.array_equal(apply_left(op, CountingAccessor(M))
+                          if side == "left"
+                          else apply_right(CountingAccessor(M), op),
+                          reference_read(op, M))
+    # a strided, non-contiguous operand
+    big = rng.standard_normal((2 * n, 15) if side == "left" else (15, 2 * n))
+    X = big[::2, ::3] if side == "left" else big[::3, ::2]
+    assert not X.flags.c_contiguous and not X.flags.f_contiguous
+    assert np.array_equal(apply_dense(op, X), reference_oriented(op, X))
+    L = Factored2(rng.standard_normal((n, 4)), rng.standard_normal((4, n)))
+    want = (reference_oriented(op, L.A) @ L.B if side == "left"
+            else L.A @ reference_oriented(op, L.B))
+    assert np.array_equal(apply_to_factored(op, L), want)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gaussian_products_match_the_dense_product_bitwise(side):
+    n = 64
+    rng = np.random.default_rng(1)
+    op = make_multiplier("gaussian", 6, n, seed=3, side=side)
+    M = rng.standard_normal((n, 40) if side == "left" else (40, n))
+    got = (apply_left(op, CountingAccessor(M)) if side == "left"
+           else apply_right(CountingAccessor(M), op))
+    assert np.array_equal(got, reference_read(op, M))
+    X = M[::2, :] if side == "right" else M[:, ::2]
+    assert np.array_equal(apply_dense(op, X), reference_oriented(op, X))
+    L = Factored2(rng.standard_normal((n, 3)), rng.standard_normal((3, n)))
+    want = (reference_oriented(op, L.A) @ L.B if side == "left"
+            else L.A @ reference_oriented(op, L.B))
+    assert np.array_equal(apply_to_factored(op, L), want)
