@@ -8,6 +8,10 @@ sketching pipeline are measured rather than trusted.  It records reads in a
 sparse ledger (a row set, a column set and a list of sampled entries) of
 O(m + n + sampled entries) memory, so counting costs no m-by-n mask.
 
+``thin_qr`` is every reduced QR of the package: numpy's Householder R, and
+a Q factor formed from the compact WY form of the reflectors by matrix
+products on numpy's BLAS rather than by LAPACK's level-2 ``dorgqr``.
+
 ``spectral_norm`` is a Golub-Kahan-Lanczos bidiagonalization written in
 numpy, and ``RatioOracle`` takes its denominator sigma_{rho+1} from the top
 rho + 1 singular values by ``top_singular_values``, a block Rayleigh-Ritz
@@ -46,11 +50,18 @@ def as_dense(a):
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise DimensionError("empty matrix rejected")
-    step = max(1, FINITE_CHECK_BLOCK // m.shape[1])
-    for start in range(0, m.shape[0], step):
-        if not np.isfinite(m[start:start + step]).all():
+    for block in _row_blocks(m.shape):
+        if not np.isfinite(m[block]).all():
             raise PreconditionError("matrix entries must be finite")
     return m
+
+
+def _row_blocks(shape):
+    """Slices of consecutive rows of an m-by-n matrix, about
+    FINITE_CHECK_BLOCK entries each and at least one row."""
+    m, n = shape
+    step = max(1, FINITE_CHECK_BLOCK // n)
+    return [slice(start, start + step) for start in range(0, m, step)]
 
 
 class CountingAccessor:
@@ -140,10 +151,19 @@ class CountingAccessor:
         return self.target[rows, :]
 
     def read_cols(self, cols):
+        """``target[:, cols]``: the same values, shape and column-major
+        layout, gathered by ``np.take`` a row block at a time.  Fancy
+        indexing of the columns of the C-ordered target is about twice as
+        slow, and one ``np.take`` over all rows returns a C-ordered block
+        that the sketch product then copies."""
         cols = np.asarray(cols)
         self._col_read[cols] = True
         self.total_reads += cols.size * self.rows
-        return self.target[:, cols]
+        out = np.empty(cols.shape + (self.rows,))
+        for block in _row_blocks(self.shape):
+            out[..., block] = np.moveaxis(
+                np.take(self.target[block], cols, axis=1), 0, -1)
+        return np.moveaxis(out, -1, 0)
 
     def read_submatrix(self, rows, cols):
         """Cross product block: all (i, j) with i in rows, j in cols."""
@@ -405,6 +425,36 @@ def spectral_norm(D):
         f"Lanczos did not converge in {LANCZOS_MAX_RESTARTS} restarts")
 
 
+def thin_qr(A):
+    """Reduced QR factorization A = Q R of a dense m-by-k matrix.
+
+    R is the upper triangle of numpy's Householder factorization
+    (``numpy.linalg.qr(A, mode="raw")``), bit for bit the R of
+    ``numpy.linalg.qr``.  Q is formed from the compact WY form of the
+    reflectors (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 1989),
+    Q = I - Y T Y^T with Y the unit lower-trapezoidal reflector block and
+    T = D (I + striu(Y^T Y) D)^{-1}, D = diag(tau), which also holds where
+    a tau_i is zero.  Its first min(m, k) columns, [I; 0] - Y (T Y_1^T),
+    take two matrix products on numpy's BLAS.  LAPACK's dorgqr forms Q by
+    level-2 reflector updates below its blocking crossover of 128 columns,
+    and those run about three times slower on two OpenBLAS threads than on
+    one; the products do not.  Q agrees with numpy's to rounding, not to the bit.
+    """
+    h, tau = np.linalg.qr(A, mode="raw")
+    a = h.T
+    k = tau.size
+    R = np.triu(a[:k])
+    Y = np.tril(a[:, :k], -1)
+    np.fill_diagonal(Y, 1.0)
+    T = np.linalg.solve(np.eye(k) + tau[:, None] * np.triu(Y.T @ Y, 1),
+                        np.diag(tau))
+    Q = Y @ (T @ Y[:k].T)
+    # 0 - x rather than -x, so the exact zeros of Q stay +0.0
+    np.subtract(0.0, Q, out=Q)
+    Q[:k] += np.eye(k)
+    return Q, R
+
+
 TOP_SV_OVERSAMPLE = 20  # block columns past the k wanted
 TOP_SV_MAX_SWEEPS = 12  # products D @ X before the dense fallback
 TOP_SV_TOL = 1e-13      # residual bound, in units of the top Ritz value
@@ -447,7 +497,7 @@ def top_singular_values(D, k):
                 first = res
             if res > first * 0.5 ** (sweep - 1):
                 break
-        Q = np.linalg.qr(Y)[0]
+        Q = thin_qr(Y)[0]
         X, s, Wt = np.linalg.svd(D.T @ Q, full_matrices=False)
         U = Q @ Wt.T
     return np.linalg.svd(D, compute_uv=False)[:k]

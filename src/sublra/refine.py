@@ -33,8 +33,10 @@ rank-rho error, so no mixed-precision path is provided.
 
 The QR and the SVDs run on ``numpy.linalg``, the same OpenBLAS that every
 matrix product here uses, so one BLAS thread pool serves the whole run (see
-README, "Linear algebra").  numpy's QR does not reject inf or NaN, so the
-fit checks its sketches for finiteness itself.
+README, "Linear algebra").  The QR is ``core.thin_qr``, whose Q factor is
+formed by matrix products from the compact WY form of the reflectors.
+numpy's QR does not reject inf or NaN, so the fit checks its sketches for
+finiteness itself.
 """
 
 import csv
@@ -46,7 +48,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CountingAccessor, DimensionError, Factored2, PreconditionError, lra_sum
+from .core import (CountingAccessor, DimensionError, Factored2,
+                   PreconditionError, lra_sum, thin_qr)
 from .sketch import (apply_dense, apply_left, apply_right, apply_to_factored,
                      make_multiplier)
 from .topsvd import recompress
@@ -159,7 +162,7 @@ def sketch_rank_r_approx(FE, EH, F):
             raise PreconditionError(
                 f"{name} has non-finite entries; the input may overflow "
                 f"float64 when sketched")
-    Q = np.linalg.qr(EH)[0]
+    Q = thin_qr(EH)[0]
     W, s, Vt = np.linalg.svd(apply_dense(F, Q), full_matrices=False)
     keep = s > 1e-12 * s[0]
     if not keep.all():

@@ -12,11 +12,12 @@ the decay, but can break when one factor is flat (e.g. orthonormal).  Both
 cost O((m + n) k^2) flops, superfast relative to the m-by-n product whenever
 k^2 << min(m, n).
 
-The exact path's QRs and both paths' core SVDs (one helper, ``_svd``) run
-on ``numpy.linalg``, whose OpenBLAS also serves every matrix product of the
-refinement, so recompressing inside a refine run stays on one BLAS thread
-pool.  scipy is kept for what numpy does not offer: the gesvd retry and the
-pivoted QR.
+The exact path's QRs (``core.thin_qr``, whose Q factors are compact WY
+matrix products) and both paths' core SVDs (one helper, ``_svd``) run on
+``numpy.linalg`` and numpy's BLAS, whose OpenBLAS also serves every matrix
+product of the refinement, so recompressing inside a refine run stays on
+one BLAS thread pool.  scipy is kept for what numpy does not offer: the
+gesvd retry and the pivoted QR.
 """
 
 import warnings
@@ -24,7 +25,7 @@ import warnings
 import numpy as np
 import scipy.linalg as la
 
-from .core import DimensionError, PreconditionError, TopSVD
+from .core import DimensionError, PreconditionError, TopSVD, thin_qr
 
 
 class QRPFallbackWarning(UserWarning):
@@ -69,8 +70,8 @@ def topsvd_of_lra(L, rho):
     for name, factor in (("factor A", L.A), ("factor B", L.B)):
         if not np.isfinite(factor).all():
             raise PreconditionError(f"{name} has non-finite entries")
-    Qa, Ra = np.linalg.qr(L.A)
-    Qb, Rb = np.linalg.qr(L.B.T)
+    Qa, Ra = thin_qr(L.A)
+    Qb, Rb = thin_qr(L.B.T)
     Uw, sw, Vwt = _svd(Ra @ Rb.T)
     return TopSVD(Qa @ Uw[:, :rho], sw[:rho], Qb @ Vwt[:rho].T)
 

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, RatioOracle, RefineConfig, TopSVD,
@@ -10,7 +12,7 @@ from sublra import (CountingAccessor, DimensionError, Factored2,
                     relative_error_ratio, truncate_svd)
 from sublra import core
 from sublra.core import (DEGENERATE_GAP, FINITE_CHECK_BLOCK, spectral_norm,
-                         top_singular_values)
+                         thin_qr, top_singular_values)
 from sublra.matgen import (fast_decay_spectrum, gen_synthetic,
                            slow_decay_spectrum)
 
@@ -221,6 +223,54 @@ def _decaying(m, n, rate, rng):
     U = la.qr(rng.standard_normal((m, r)), mode="economic")[0]
     V = la.qr(rng.standard_normal((n, r)), mode="economic")[0]
     return (U * rate ** np.arange(r)) @ V.T
+
+
+@st.composite
+def qr_inputs(draw):
+    """An m-by-k matrix, 1 <= k <= 64 and k <= m <= 160, whose columns are
+    Gaussians scaled by 10^e, e in [-150, 150], some of them exact zeros or
+    repeats of an earlier column."""
+    k = draw(st.integers(1, 64))
+    m = draw(st.integers(k, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-150, 150, size=k)
+    for j in range(k):
+        kind = draw(st.sampled_from(["gaussian", "gaussian", "zero",
+                                     "repeat"]))
+        if kind == "zero":
+            A[:, j] = 0.0
+        elif kind == "repeat" and j:
+            A[:, j] = A[:, draw(st.integers(0, j - 1))]
+    return A
+
+
+def _column_norms(A):
+    return np.array([core._scale_safe(a) for a in A.T])
+
+
+@given(A=qr_inputs())
+def test_thin_qr_factors_any_column_scale(A):
+    Q, R = thin_qr(A)
+    k = A.shape[1]
+    assert Q.shape == A.shape and R.shape == (k, k)
+    assert np.array_equal(R, np.linalg.qr(A, mode="r"))
+    assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-13
+    assert np.all(_column_norms(Q @ R - A) <= 1e-13 * _column_norms(A))
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (7, 3), (64, 64), (200, 60)])
+def test_thin_qr_is_exact_on_identity_columns(m, k):
+    E = np.eye(m, k)
+    Q, R = thin_qr(E)
+    assert np.array_equal(Q, E) and np.array_equal(R, np.eye(k))
+    assert not np.signbit(Q).any()
+
+
+def test_thin_qr_agrees_with_numpy_q():
+    A = (np.random.default_rng(76).standard_normal((1024, 60))
+         * np.logspace(0, -14, 60))
+    Q = thin_qr(A)[0]
+    assert np.abs(Q - np.linalg.qr(A)[0]).max() <= 1e-14
 
 
 def _top_sv_inputs():
@@ -485,6 +535,24 @@ class TestCountingAccessor:
         assert np.array_equal(vals, [0.0, 5.0])
         assert acc.distinct_accessed <= acc.total_reads
         assert acc.distinct_accessed <= 20
+
+    @pytest.mark.parametrize("cols", [
+        [5, 0, 63, 17], [[1, 2, 3], [60, 61, 62]], 7, -3, [-1, -64, 2],
+        [9, 9, 9, 4], [], [[], []]], ids=[
+        "1d", "2d", "scalar", "negative-scalar", "negative", "repeated",
+        "empty", "empty-2d"])
+    def test_read_cols_is_column_indexing(self, cols):
+        # three row blocks and a partial one: the gather walks them all
+        M = np.random.default_rng(77).standard_normal(
+            (3 * (FINITE_CHECK_BLOCK // 64) + 5, 64))
+        acc = CountingAccessor(M)
+        cols = np.asarray(cols, dtype=np.intp)
+        got = acc.read_cols(cols)
+        want = M[:, cols]
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert acc.total_reads == cols.size * M.shape[0]
 
     def test_full_materialization_counts_everything(self):
         acc = CountingAccessor(np.ones((6, 7)))

@@ -297,6 +297,36 @@ def test_read_invariant_survives_optimize_flag():
     assert "outside sketch application" in out.stdout
 
 
+def test_refine_iterates_do_not_depend_on_blas_threads():
+    # the fit's and recompression's Q factors are matrix products, whose
+    # bits OpenBLAS keeps at any thread count; the input is built without
+    # BLAS, so both runs see the same bits
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from sublra import CountingAccessor, RefineConfig, refine
+        for n, rho in ((1024, 20), (4096, 8)):
+            rng = np.random.default_rng(n)
+            d = 0.5 ** (np.arange(n) / 32.0)
+            M = (d[:, None] * rng.standard_normal((n, n))) * rng.permutation(d)
+            approx, _ = refine(CountingAccessor(M), RefineConfig(rho=rho, seed=7))
+            print(n, hashlib.sha256(approx.A.tobytes()
+                                    + approx.B.tobytes()).hexdigest())
+    """)
+    src = str(Path(sublra.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
+
+
 def test_refine_access_bound_formula():
     n, rho, iters, depth = 2048, 8, 3, 3
     M = np.random.default_rng(1).standard_normal((n, n))
