@@ -20,6 +20,15 @@ retain it.  Each iteration runs at r = rank + rho: r = rho first, then
 r = 2 rho, since every iterate is truncated back to rank rho.  A run takes
 exactly ``max_iters`` iterations.
 
+The driver keeps each iterate as U S V^T with U and V orthonormal: after
+a truncation S = diag(sigma); after iteration 0, whose fit Q C stays
+untruncated, U = Q and a thin QR of C^T gives V and S.  So each truncation
+is an SVD update of the iterate by the correction (``topsvd.recompress``
+with ``right=(S, V)``), which factors only the parts of Q and C^T outside
+span(U) and span(V), not the whole sum.  The driver holds one copy of
+each factor: it drops the iterate once the step has copied it into the
+sum, and the sum once it is truncated.
+
 Abridged multipliers draw their rows and signs anew every iteration, but
 only from one class pool per run (see ``sketch.make_multiplier``): 2 r_max
 row classes for F and r_max for H, r_max = 2 rho.  So the whole run reads
@@ -199,6 +208,13 @@ def _step(M, approx, F, H):
     return lra_sum(approx, sketch_rank_r_approx(FE, EH, F))
 
 
+def _orthonormal_right(B):
+    """(S, V) with B = S V^T and V orthonormal, from the thin QR
+    B^T = V R, S = R^T."""
+    V, R = thin_qr(B.T)
+    return R.T, V
+
+
 def refine(M, config, evaluator=None):
     """Iteratively refine a low-rank approximation of M through sketches.
 
@@ -220,19 +236,30 @@ def refine(M, config, evaluator=None):
     report = RefinementReport(config=config)
     seeds, (pool_f, pool_h) = _run_seeds(config.seed, config.max_iters)
     r_max = 2 * config.rho
+    right = None  # (S, V) with approx = approx.A S V^T, V orthonormal
 
     for i, (seed_f, seed_h) in enumerate(seeds):
-        r = approx.rank_bound + config.rho
+        k = approx.rank_bound
+        r = k + config.rho
         F = make_multiplier(config.multiplier, 2 * r, m, depth=config.depth,
                             seed=seed_f, side="left", pool=(pool_f, 2 * r_max))
         H = make_multiplier(config.multiplier, r, n, depth=config.depth,
                             seed=seed_h, side="right", pool=(pool_h, r_max))
         updated = _step(M, approx, F, H)
+        # approx's factors are the leading blocks of updated's
+        del approx
         reads_after_step = M.total_reads
         rank_before = updated.rank_bound
         ratio_before = None if evaluator is None else float(evaluator(updated))
         if updated.rank_bound > config.rho:
-            approx = recompress(updated, config.rho)
+            if right is None:
+                # iteration 0 kept its fit Q C untruncated, Q orthonormal
+                right = _orthonormal_right(updated.B[:k])
+            top = recompress(updated, config.rho, right=right)
+            approx, right = top.to_factored2(), (np.diag(top.sigma), top.V)
+            # approx and right hold the factors now; the sum is dead, so
+            # free it before the evaluator and the next step run
+            del top, updated
             ratio_after = None if evaluator is None else float(evaluator(approx))
         else:
             approx = updated

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,28 @@ def test_refine_iterates_do_not_depend_on_blas_threads():
         digests.append(out.stdout.split())
     assert len(digests[0]) == 4
     assert digests[0] == digests[1]
+
+
+def test_refine_frees_the_pre_truncation_sum_before_the_next_step():
+    # at n=1024, rho=20 each pre-truncation sum of rank 3 rho takes about
+    # 1 MB; held through the next step's gathers, it raises the peak of a
+    # third iteration over that of the first two by most of that, while
+    # iterations 1 and 2 gather the same pooled rows and columns
+    n, rho = 1024, 20
+    rng = np.random.default_rng(n)
+    d = 0.5 ** (np.arange(n) / 32.0)
+    M = (d[:, None] * rng.standard_normal((n, n))) * rng.permutation(d)
+    peaks = []
+    for iters in (2, 3):
+        acc = CountingAccessor(M)
+        tracemalloc.start()
+        try:
+            refine(acc, RefineConfig(rho=rho, max_iters=iters, seed=7))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    sum_bytes = 8 * (n + n) * 3 * rho
+    assert peaks[1] - peaks[0] < sum_bytes / 4, peaks
 
 
 def test_refine_access_bound_formula():

@@ -1,5 +1,6 @@
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sublra import (DimensionError, Factored2, PreconditionError,
-                    QRPFallbackWarning, materialize, recompress, topsvd_of_lra,
-                    topsvd_of_lra_qrp)
+                    QRPFallbackWarning, TopSVD, materialize, recompress,
+                    topsvd_of_lra, topsvd_of_lra_qrp)
+from sublra import topsvd
+from sublra.core import lra_sum, thin_qr
 from sublra.topsvd import _svd
 
 
@@ -236,3 +239,80 @@ def test_recompress_peak_memory_is_superfast():
         tracemalloc.stop()
     assert R.rank_bound == k // 2
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def _piece(draw, rng, B, width, label):
+    """An (rows x width) block against the orthonormal columns of B, all of
+    one kind: Gaussian, inside span(B), off span(B) by a relative 10^-12 to
+    10^-4 ("near"), zero, or Gaussian with repeated columns."""
+    kind = draw(st.sampled_from(["gaussian", "inside", "near", "near",
+                                 "zero", "repeat"]), label=label)
+    rows, k = B.shape
+    X = rng.standard_normal((rows, width))
+    if kind in ("inside", "near"):
+        X = B @ rng.standard_normal((k, width))
+    if kind == "near":
+        X += 10.0 ** rng.uniform(-12, -4) * rng.standard_normal((rows, width))
+    if kind == "zero":
+        X[:] = 0.0
+    if kind == "repeat":
+        X[:, 1::2] = X[:, :1]
+    return X, kind in ("inside", "zero", "repeat")
+
+
+@st.composite
+def refine_sums(draw):
+    """A sum of recompress's update form, L = [U, Q] [S V^T; C] with U and V
+    orthonormal, and the rho to truncate it to.
+
+    S is diagonal or lower triangular (as after a truncation or after
+    iteration 0) with some zero singular values; Q and C^T are ``_piece``
+    blocks against U and V; S, Q and C each carry a scale 10^e, e in
+    [-150, 150].  ``degenerate`` says that Q or C^T holds an exact
+    dependence, where the general path may serve.
+    """
+    k = draw(st.integers(1, 6), label="k")
+    r = draw(st.integers(1, 20), label="r")  # up to three panels of _split
+    m = draw(st.integers(k + r, 48), label="m")
+    n = draw(st.integers(k + r, 48), label="n")
+    rho = draw(st.integers(1, k + r), label="rho")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = thin_qr(rng.standard_normal((m, k)))[0]
+    V = thin_qr(rng.standard_normal((n, k)))[0]
+    S = np.diag(np.sort(rng.uniform(0.5, 2.0, k))[::-1])
+    if draw(st.booleans(), label="triangular S"):
+        S = np.tril(rng.standard_normal((k, k)))
+    zeros = draw(st.integers(0, k), label="zero singular values")
+    S[k - zeros:] = 0.0
+    Q, q_degenerate = _piece(draw, rng, U, r, "Q kind")
+    Ct, c_degenerate = _piece(draw, rng, V, r, "C kind")
+    S, Q, Ct = (X * 10.0 ** rng.uniform(-150, 150) for X in (S, Q, Ct))
+    L = lra_sum(Factored2(U, S @ V.T), Factored2(Q, Ct.T))
+    return L, (S, V), rho, q_degenerate or c_degenerate
+
+
+@given(refine_sums())
+def test_update_matches_the_general_path(case):
+    L, right, rho, degenerate = case
+    with mock.patch.object(topsvd, "topsvd_of_lra",
+                           wraps=topsvd.topsvd_of_lra) as general:
+        got = recompress(L, rho, right=right)
+    # the update itself serves every sum without an exact dependence
+    assert degenerate or not general.called
+    assert isinstance(got, TopSVD) and got.rank_bound == rho
+    want = topsvd_of_lra(L, rho)
+    assert np.abs(got.sigma - want.sigma).max() <= 1e-12 * want.sigma[0]
+    for X in (got.U, got.V):
+        assert np.abs(X.T @ X - np.eye(rho)).max() <= 1e-12
+
+
+def test_update_rejects_right_factors_of_another_shape():
+    rng = np.random.default_rng(48)
+    U = thin_qr(rng.standard_normal((30, 3)))[0]
+    V = thin_qr(rng.standard_normal((20, 3)))[0]
+    L = lra_sum(Factored2(U, V.T), Factored2(rng.standard_normal((30, 4)),
+                                             rng.standard_normal((4, 20))))
+    with pytest.raises(DimensionError, match="right factors"):
+        recompress(L, 3, right=(np.eye(3), V[:19]))
+    with pytest.raises(DimensionError, match="right factors"):
+        recompress(L, 3, right=(np.eye(2), V))
