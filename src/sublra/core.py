@@ -7,6 +7,11 @@ entry read through it, which is how the sublinear-access claims of the
 sketching pipeline are measured rather than trusted.  It records reads in a
 sparse ledger (a row set, a column set and a list of sampled entries) of
 O(m + n + sampled entries) memory, so counting costs no m-by-n mask.
+Wrapping a matrix costs O(1): the accessor checks each entry finite the
+first time it delivers it, not the whole matrix up front, so entries that
+are never read are never checked (no sublinear-cost check can vouch for
+them; criterion 11's audit finds such an unread witness).  ``as_dense``
+still scans every entry.
 
 ``thin_qr`` is every reduced QR of the package: numpy's Householder R, and
 a Q factor formed from the compact WY form of the reflectors by matrix
@@ -43,17 +48,43 @@ def as_dense(a):
 
     Rejects empty matrices and non-finite entries.  The finiteness scan runs
     over row blocks of about FINITE_CHECK_BLOCK entries, so it needs no
-    temporary the size of the matrix.
+    temporary the size of the matrix.  It reads every entry; a
+    ``CountingAccessor`` instead checks each entry when it first delivers it.
     """
+    m = _as_matrix(a)
+    _check_finite(m)
+    return m
+
+
+def _as_matrix(a):
+    """``a`` as a C-contiguous float64 2-D array, rejecting empty ones."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise DimensionError("empty matrix rejected")
-    for block in _row_blocks(m.shape):
-        if not np.isfinite(m[block]).all():
-            raise PreconditionError("matrix entries must be finite")
     return m
+
+
+def _check_finite(a, rows=None):
+    """Raise PreconditionError if a row of the 2-D array ``a`` holds a
+    non-finite entry: each row when ``rows`` is None, else the rows at
+    ``rows``, sorted distinct positions.
+
+    Consecutive rows are scanned as views of about FINITE_CHECK_BLOCK
+    entries (at least one row); scattered ones are gathered in chunks whose
+    float copies are no larger than such a block's bools.  So no temporary
+    outgrows one block's bools, unless one row does.
+    """
+    if rows is None or rows.size == a.shape[0]:
+        blocks = (a[b] for b in _row_blocks(a.shape))
+    else:
+        step = FINITE_CHECK_BLOCK // (a.itemsize * a.shape[1])
+        blocks = (a[rows[k:k + step]] if step else a[rows[k]]
+                  for k in range(0, rows.size, max(1, step)))
+    for block in blocks:
+        if not np.isfinite(block).all():
+            raise PreconditionError("matrix entries must be finite")
 
 
 def _row_blocks(shape):
@@ -78,11 +109,21 @@ class CountingAccessor:
     |R| n + |C| m - |R||C| plus the distinct listed entries outside the
     marked rows and columns.  ``accessed`` builds the dense mask on request,
     for tests and audits of small inputs.
+
+    Construction costs O(1): the target is converted like ``as_dense`` but
+    not scanned.  Instead each read raises PreconditionError before it
+    delivers a non-finite entry, and before it touches the ledger or
+    ``total_reads``.  The marked rows and columns double as the set already
+    checked, so ``read_rows``, ``read_cols`` and ``read_full`` scan only the
+    rows or columns they mark for the first time; ``read_at`` and
+    ``read_submatrix`` scan the entries they deliver.  Entries never read
+    are never checked: no sublinear-cost check can vouch for an entry it
+    does not read, which is the point of criterion 11's audit.
     Single-writer: one accessor must not be shared by concurrent readers.
     """
 
     def __init__(self, target):
-        self.target = as_dense(target)
+        self.target = _as_matrix(target)
         m, n = self.target.shape
         self._row_read = np.zeros(m, dtype=bool)
         self._col_read = np.zeros(n, dtype=bool)
@@ -131,8 +172,9 @@ class CountingAccessor:
 
     def _gather(self, index):
         """Entries at ``index``, a (rows, cols) pair of broadcastable index
-        arrays, listed in the ledger and counted."""
+        arrays, checked finite, listed in the ledger and counted."""
         values = self.target[index]
+        _check_finite(values.reshape(-1, 1))
         # the indexing has checked every index, so negative ones only need
         # wrapping
         self._entries.append(np.ravel_multi_index(
@@ -146,23 +188,30 @@ class CountingAccessor:
 
     def read_rows(self, rows):
         rows = np.asarray(rows)
+        out = self.target[rows, :]
+        _check_finite(out.reshape(-1, self.cols),
+                      np.flatnonzero(~self._row_read[rows].ravel()))
         self._row_read[rows] = True
         self.total_reads += rows.size * self.cols
-        return self.target[rows, :]
+        return out
 
     def read_cols(self, cols):
         """``target[:, cols]``: the same values, shape and column-major
         layout, gathered by ``np.take`` a row block at a time.  Fancy
         indexing of the columns of the C-ordered target is about twice as
         slow, and one ``np.take`` over all rows returns a C-ordered block
-        that the sketch product then copies."""
+        that the sketch product then copies.  Columns not yet marked are
+        checked finite a row block at a time, while the block is in cache."""
         cols = np.asarray(cols)
-        self._col_read[cols] = True
-        self.total_reads += cols.size * self.rows
         out = np.empty(cols.shape + (self.rows,))
+        delivered = out.reshape(-1, self.rows)
+        fresh = np.flatnonzero(~self._col_read[cols].ravel())
         for block in _row_blocks(self.shape):
             out[..., block] = np.moveaxis(
                 np.take(self.target[block], cols, axis=1), 0, -1)
+            _check_finite(delivered[:, block], fresh)
+        self._col_read[cols] = True
+        self.total_reads += cols.size * self.rows
         return np.moveaxis(out, -1, 0)
 
     def read_submatrix(self, rows, cols):
@@ -170,6 +219,7 @@ class CountingAccessor:
         return self._gather(np.ix_(rows, cols))
 
     def read_full(self):
+        _check_finite(self.target, np.flatnonzero(~self._row_read))
         self._row_read[:] = True
         self.total_reads += self.target.size
         return self.target
@@ -531,12 +581,18 @@ class RatioOracle:
         self.degenerate = self.tau < DEGENERATE_GAP * float(self.sigma[0])
 
     def __call__(self, approx):
-        """Ratio for ``approx`` (dense or any factored form)."""
+        """Ratio for ``approx`` (dense or any factored form).  A factored
+        form's fresh product takes the difference in place; a dense
+        ``approx`` is left as it is."""
         At = materialize(approx)
         if At.shape != self.M.shape:
             raise DimensionError(
                 f"approx shape {At.shape} != input shape {self.M.shape}")
-        err = spectral_norm(self.M - At)
+        if isinstance(approx, (Factored2, TopSVD)):
+            D = np.subtract(self.M, At, out=At)
+        else:
+            D = self.M - At
+        err = spectral_norm(D)
         return err if self.degenerate else err / self.tau
 
 

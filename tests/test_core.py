@@ -16,6 +16,8 @@ from sublra.core import (DEGENERATE_GAP, FINITE_CHECK_BLOCK, spectral_norm,
 from sublra.matgen import (fast_decay_spectrum, gen_synthetic,
                            slow_decay_spectrum)
 
+NOT_FINITE = "entries must be finite"  # the accessor's and as_dense's raise
+
 
 def test_as_dense_rejects_bad_input():
     with pytest.raises(DimensionError):
@@ -437,6 +439,19 @@ def test_ratio_oracle_agrees_with_full_svd(spectrum, multiplier):
         assert min(ratios) < 1e-9
 
 
+def test_ratio_oracle_leaves_a_dense_approx_unchanged():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 5))
+    B = rng.standard_normal((5, 30))
+    oracle = RatioOracle(rng.standard_normal((40, 30)), 4)
+    dense = A @ B
+    kept = dense.copy()
+    ratio = oracle(dense)
+    assert np.array_equal(dense, kept)
+    assert oracle(Factored2(A, B)) == ratio
+    assert oracle(dense) == ratio
+
+
 def test_ratio_oracle_exact_difference_is_zero():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 5))
@@ -622,7 +637,100 @@ class TestCountingAccessor:
         M = np.ones((FINITE_CHECK_BLOCK // 64 + 3, 64))
         M[-1, 17] = bad
         with pytest.raises(PreconditionError):
-            CountingAccessor(M)
+            as_dense(M)
+        for read in (lambda acc: acc.read_full(),
+                     lambda acc: acc.read_rows([-1]),
+                     lambda acc: acc.read_cols([17])):
+            with pytest.raises(PreconditionError, match=NOT_FINITE):
+                read(CountingAccessor(M))
+
+    # (method, arguments of a read that misses entry (2, 3), arguments of
+    # one that delivers it); rows 0 and 4 and columns 0 and 5 are read
+    # before, so the delivering row and column reads mix marked and
+    # unmarked indices
+    NON_FINITE_READS = [
+        ("read_rows", ([1, -1],), ([4, 2, 0],)),
+        ("read_cols", ([4, 1],), ([0, -3],)),
+        ("read_full", None, ()),
+        ("read_at", ([2, 0, 2], [2, 3, -1]), ([[0], [2]], [3])),
+        ("read_submatrix", ([0, 1, 2], [0, 1, 2]), ([1, 2], [5, 3])),
+    ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method, miss, hit", NON_FINITE_READS,
+                             ids=[r[0] for r in NON_FINITE_READS])
+    def test_first_delivery_of_non_finite_entry_raises(self, method, miss,
+                                                       hit, bad):
+        M = np.arange(30.0).reshape(5, 6)
+        M[2, 3] = bad
+        acc = CountingAccessor(M)
+        read = getattr(acc, method)
+        acc.read_rows([0, 4])
+        acc.read_cols([0, 5])
+        if miss is not None:
+            assert np.isfinite(read(*miss)).all()
+        before = (acc.total_reads, acc.distinct_accessed, acc.accessed)
+        for _ in range(2):  # a raise marks nothing as checked
+            with pytest.raises(PreconditionError, match=NOT_FINITE):
+                read(*hit)
+            assert acc.total_reads == before[0]
+            assert acc.distinct_accessed == before[1]
+            assert np.array_equal(acc.accessed, before[2])
+        if miss is not None:
+            assert np.isfinite(read(*miss)).all()
+        assert np.isfinite(acc.read_submatrix([1, 3], [2, 4])).all()
+
+    def test_construction_scans_nothing(self):
+        acc = CountingAccessor(np.full((2048, 2048), np.nan))
+        assert acc.total_reads == 0
+        with pytest.raises(PreconditionError, match=NOT_FINITE):
+            acc.read_rows([7])
+        with pytest.raises(PreconditionError, match=NOT_FINITE):
+            acc.read_at([0], [0])
+        assert acc.total_reads == acc.distinct_accessed == 0
+
+    @pytest.mark.parametrize("block", [1, 3, 64, FINITE_CHECK_BLOCK])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_no_read_delivers_a_non_finite_entry(self, seed, block,
+                                                 monkeypatch):
+        # small scan blocks split the reads into several blocks and runs
+        monkeypatch.setattr(core, "FINITE_CHECK_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        M = rng.standard_normal((m, n))
+        bad = rng.random((m, n)) < 0.05
+        M[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+        acc = CountingAccessor(M)
+        mask = np.zeros((m, n), dtype=bool)
+        for _ in range(12):
+            kind = rng.integers(5)
+            rows = rng.integers(-m, m, size=int(rng.integers(0, m + 1)))
+            cols = rng.integers(-n, n, size=int(rng.integers(0, n + 1)))
+            if kind == 0:
+                read, args, hit = acc.read_rows, (rows,), (rows, slice(None))
+            elif kind == 1:
+                read, args, hit = acc.read_cols, (cols,), (slice(None), cols)
+            elif kind == 2:
+                k = int(rng.integers(0, m * n))
+                rows = rng.integers(-m, m, size=k)
+                cols = rng.integers(-n, n, size=k)
+                read, args, hit = acc.read_at, (rows, cols), (rows, cols)
+            elif kind == 3:
+                read, args = acc.read_submatrix, (rows, cols)
+                hit = np.ix_(rows, cols)
+            else:
+                read, args, hit = acc.read_full, (), slice(None)
+            want = M[hit]
+            reads = acc.total_reads
+            if np.isfinite(want).all():
+                assert np.array_equal(read(*args), want)
+                mask[hit] = True
+                reads += want.size
+            else:
+                with pytest.raises(PreconditionError, match=NOT_FINITE):
+                    read(*args)
+            assert acc.total_reads == reads
+            assert np.array_equal(acc.accessed, mask)
 
     def test_ledger_keeps_no_dense_mask(self):
         M = np.ones((2048, 2048))

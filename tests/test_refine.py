@@ -243,6 +243,33 @@ def test_perfbench_traced_mode_patches_refine():
             "core.accessor.init", "core.accessor.ledger"} <= names
 
 
+def test_refine_checks_only_the_entries_it_reads():
+    # criterion 10's shape on a rank-100 fast-decay input built from its
+    # factors: the accessor vouches for what it delivers and nothing more
+    n, rho, k = 4096, 8, 100
+    rng = np.random.default_rng(4096)
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    M = (U * fast_decay_spectrum(n).values[:k]) @ V.T
+    config = RefineConfig(rho=rho, max_iters=3, depth=3, seed=515)
+
+    def run():
+        acc = CountingAccessor(M)
+        approx, report = refine(acc, config)
+        return acc, (approx.A.tobytes(), approx.B.tobytes(),
+                     report.to_csv())
+
+    acc, first = run()
+    unread = acc.first_unaccessed()
+    read_row = int(np.flatnonzero(acc.accessed.all(axis=1))[0])
+    assert unread is not None
+    M[unread] = np.nan
+    assert run()[1] == first
+    M[read_row, unread[1]] = np.nan
+    with pytest.raises(PreconditionError, match="entries must be finite"):
+        run()
+
+
 def test_refine_driver_reads_only_in_sketches():
     M = gen_synthetic(128, fast_decay_spectrum(128), seed=53)
     oracle = RatioOracle(M, 4)
