@@ -393,10 +393,12 @@ def _scale_safe(x, f=np.linalg.norm):
     back exactly, so the squares behind a norm neither overflow nor
     underflow (Blue, ACM TOMS 1978, as in LAPACK's dnrm2).  Where f's own
     squares neither overflow nor underflow, f(x)'s bits come back; a zero,
-    inf or NaN max|x| leaves x unscaled.
+    inf or NaN max|x| leaves x unscaled.  A value past the largest double
+    scales back to inf without a warning.
     """
     exponent = np.frexp(np.abs(x).max())[1]
-    return np.ldexp(f(np.ldexp(x, -exponent)), exponent)
+    with np.errstate(over="ignore"):
+        return np.ldexp(f(np.ldexp(x, -exponent)), exponent)
 
 
 def spectral_norm(D):

@@ -25,7 +25,9 @@ a truncation S = diag(sigma); after iteration 0, whose fit Q C stays
 untruncated, U = Q and a thin QR of C^T gives V and S.  So each truncation
 is an SVD update of the iterate by the correction (``topsvd.recompress``
 with ``right=(S, V)``), which factors only the parts of Q and C^T outside
-span(U) and span(V), not the whole sum.  The driver holds one copy of
+span(U) and span(V), not the whole sum; only a result that is not
+orthonormal is recomputed from the whole sum by Householder QRs
+(``topsvd.topsvd_of_lra``).  The driver holds one copy of
 each factor: it drops the iterate once the step has copied it into the
 sum, and the sum once it is truncated.
 
@@ -208,13 +210,6 @@ def _step(M, approx, F, H):
     return lra_sum(approx, sketch_rank_r_approx(FE, EH, F))
 
 
-def _orthonormal_right(B):
-    """(S, V) with B = S V^T and V orthonormal, from the thin QR
-    B^T = V R, S = R^T."""
-    V, R = thin_qr(B.T)
-    return R.T, V
-
-
 def refine(M, config, evaluator=None):
     """Iteratively refine a low-rank approximation of M through sketches.
 
@@ -253,8 +248,11 @@ def refine(M, config, evaluator=None):
         ratio_before = None if evaluator is None else float(evaluator(updated))
         if updated.rank_bound > config.rho:
             if right is None:
-                # iteration 0 kept its fit Q C untruncated, Q orthonormal
-                right = _orthonormal_right(updated.B[:k])
+                # iteration 0 kept its fit Q C untruncated, Q orthonormal;
+                # the thin QR C^T = V R gives C = S V^T with S = R^T
+                V, R = thin_qr(updated.B[:k].T)
+                right = (R.T, V)
+                del V, R  # right holds them until the next truncation frees it
             top = recompress(updated, config.rho, right=right)
             approx, right = top.to_factored2(), (np.diag(top.sigma), top.V)
             # approx and right hold the factors now; the sum is dead, so

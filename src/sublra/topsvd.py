@@ -2,16 +2,15 @@
 
 ``topsvd_of_lra`` is exact: thin QR factorizations of both factors reduce
 A @ B to a k-by-k core, whose SVD is composed with the two orthonormal
-bases.  ``recompress`` truncates a factored form to rank rho, by default
-through it: that general path serves every caller with arbitrary factors.
-The refinement driver's sums have structure it can use, an iterate
-U S V^T with U and V orthonormal plus a correction Q C, so for them
-``recompress`` runs an SVD update instead (Brand, "Fast
-low-rank modifications of the thin singular value decomposition", LAA 415,
-2006): block Gram-Schmidt splits Q against U and C^T against V, and only
-the parts outside span(U) and span(V) are factored by thin QRs, a few
-columns at a time, where the general path factors all k + r columns of
-each factor at once.
+bases.  ``recompress`` truncates a factored form to rank rho by one path,
+an SVD update (Brand, "Fast low-rank modifications of the thin singular
+value decomposition", LAA 415, 2006): the form is an iterate U S V^T with
+U and V orthonormal plus a correction Q C (the refinement driver's sums;
+without an iterate, k = 0 and the whole form is the correction), block
+Gram-Schmidt splits Q against U and C^T against V, and only the parts
+outside span(U) and span(V) are factored by thin QRs, a few columns at a
+time, where ``topsvd_of_lra`` factors all k + r columns of each factor at
+once.  A result that is not orthonormal falls back to ``topsvd_of_lra``.
 ``topsvd_of_lra_qrp`` uses pivoted QR factorizations instead and truncates
 the core to rho-by-rho before its SVD, permuting the triangular factors by
 indexing with the pivot order, not by permutation matrices.  It is an
@@ -101,9 +100,11 @@ def topsvd_of_lra_qrp(L, rho):
     pivoting is used here, so that factor is a tested heuristic, not a
     guarantee.  When either pivoted diagonal or the core's singular values
     fall below 1e-14 of their leading value, it warns and falls back to the
-    exact path.
+    exact path.  A factor with an inf or NaN entry raises
+    PreconditionError.
     """
     _check_ranks(L, rho)
+    _check_finite(L)
     Q, R, piva = la.qr(L.A, mode="economic", pivoting=True)
     Qb, Lt, pivb = la.qr(L.B.T, mode="economic", pivoting=True)
     # the leading rho pivots, put back in their original relative order,
@@ -140,7 +141,7 @@ def _split(B, X):
     along the basis that are large relative to the remainder wherever X
     lies close to it; the second leaves rounding level.  Q is orthogonal
     to B wherever the remainder is numerically of full rank (see
-    ``_svd_update``).  Narrow panels keep each Householder QR short:
+    ``recompress``).  Narrow panels keep each Householder QR short:
     LAPACK factors fewer than 128 columns by level-2 reflector updates,
     whose cost grows as m w^2 for w columns, so at m = 1024 one thin_qr of
     40 columns took longer than five of 8 (2.7 against 5 x 0.14 ms, in
@@ -166,58 +167,50 @@ def _split(B, X):
     return basis, coef
 
 
-def _svd_update(L, rho, S, V):
-    """Top-rho SVD of L = [U, Q] [S V^T; C] by updating the SVD of U S V^T.
-
-    U = L.A[:, :k] and V (n-by-k) have orthonormal columns, S is k-by-k,
-    Q = L.A[:, k:] and C = L.B[k:]; L.B[:k], which holds S V^T, is not read.
-    With Q = [U, Q1] [P; R1] and C^T = [V, Q2] [G; R2] from ``_split``,
-
-        L = [U, Q1] ([[S, 0], [0, 0]] + [P; R1] [G; R2]^T) [V, Q2]^T,
-
-    and the SVD of that (k + r)-by-(k + r) core, composed with the two
-    bases, gives the triplets.  Where a remainder is (nearly) rank
-    deficient, say when Q lies partly in span(U) or C is rank deficient,
-    Householder columns for its null directions are not orthogonal to the
-    basis before them; they carry rounding-level weight in the core, so
-    the result is still orthonormal unless the sum has rank below rho and
-    a zero singular direction picks them up.  TopSVD checks the result,
-    and a result it rejects is recomputed by the general path; that also
-    resets the rounding drift from orthonormality that updates of updates
-    accumulate.
-    """
-    _check_ranks(L, rho)
-    _check_finite(L)
-    k = V.shape[1]
-    if V.shape[0] != L.shape[1] or S.shape != (k, k) or k > L.rank_bound:
-        raise DimensionError(
-            f"right factors S {S.shape} and V {V.shape} do not fit a sum of "
-            f"shape {L.shape} and rank bound {L.rank_bound}")
-    left, left_coef = _split(L.A[:, :k], L.A[:, k:])
-    right, right_coef = _split(V, L.B[k:].T)
-    core = left_coef @ right_coef.T
-    core[:k, :k] += S
-    Uc, s, Vct = _svd(core)
-    try:
-        return TopSVD(left @ Uc[:, :rho], s[:rho], right @ Vct[:rho].T)
-    except PreconditionError:
-        return topsvd_of_lra(L, rho)
-
-
 def recompress(L, rho, right=None):
-    """Truncate a factored form back to rank rho exactly, keeping it factored.
+    """Truncate a factored form back to rank rho exactly: the top-rho SVD
+    of L = [U, Q] [S V^T; C] by updating the SVD of U S V^T.
 
     The error obeys the triangle-inequality growth bounds
     ||M - (AB)_rho|| <= ||M - AB|| + tau_rho(AB)
     and ||M - (AB)_rho|| <= 2 ||M - AB|| + tau_rho(M).
 
-    Without ``right`` this is ``topsvd_of_lra`` and returns a Factored2.
-    ``right=(S, V)`` declares L an iterate plus a correction,
-    L = [U, Q] [S V^T; C] with U and V orthonormal and k = V.shape[1]
-    (the refinement driver's sums): the truncation is then an SVD update
-    (``_svd_update``) and returns the TopSVD itself, whose sigma and V the
-    next update takes.
+    ``right=(S, V)`` declares L an iterate plus a correction (the
+    refinement driver's sums): U = L.A[:, :k] and V (n-by-k) have
+    orthonormal columns, S is k-by-k, Q = L.A[:, k:] and C = L.B[k:];
+    L.B[:k], which holds S V^T, is not read.  Without ``right`` L is a
+    correction to the rank-0 iterate: k = 0, S is 0-by-0 and V n-by-0.
+    With Q = [U, Q1] [P; R1] and C^T = [V, Q2] [G; R2] from ``_split``,
+
+        L = [U, Q1] ([[S, 0], [0, 0]] + [P; R1] [G; R2]^T) [V, Q2]^T,
+
+    and the SVD of that (k + r)-by-(k + r) core, composed with the two
+    bases, gives the triplets as a TopSVD, whose sigma and V the next
+    update takes.  Where a remainder is (nearly) rank deficient, say when
+    Q lies partly in span(U) or C is rank deficient, Householder columns
+    for its null directions are not orthogonal to the basis before them;
+    they carry rounding-level weight in the core, so the result is still
+    orthonormal unless the sum has rank below rho and a zero singular
+    direction picks them up.  TopSVD checks the result, and a result it
+    rejects is recomputed by ``topsvd_of_lra``; that also resets the
+    rounding drift from orthonormality that updates of updates accumulate.
     """
-    if right is not None:
-        return _svd_update(L, rho, *right)
-    return topsvd_of_lra(L, rho).to_factored2()
+    _check_ranks(L, rho)
+    _check_finite(L)
+    n = L.shape[1]
+    S, V = (np.zeros((0, 0)), np.zeros((n, 0))) if right is None else right
+    k = V.shape[1]
+    if V.shape[0] != n or S.shape != (k, k) or k > L.rank_bound:
+        raise DimensionError(
+            f"right factors S {S.shape} and V {V.shape} do not fit a sum of "
+            f"shape {L.shape} and rank bound {L.rank_bound}")
+    left_basis, left_coef = _split(L.A[:, :k], L.A[:, k:])
+    right_basis, right_coef = _split(V, L.B[k:].T)
+    core = left_coef @ right_coef.T
+    core[:k, :k] += S
+    Uc, s, Vct = _svd(core)
+    try:
+        return TopSVD(left_basis @ Uc[:, :rho], s[:rho],
+                      right_basis @ Vct[:rho].T)
+    except PreconditionError:
+        return topsvd_of_lra(L, rho)

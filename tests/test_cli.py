@@ -240,7 +240,8 @@ def test_nonpositive_n_is_precondition(argv, n, tmp_path, capsys):
 # and {garbled} name a valid 128x128 file, an absent one and one with a
 # non-numeric entry; {overflow} and {nan} name an array file with a value
 # past the double range and a coordinate file with a NaN entry; {repeated}
-# names a coordinate file that lists one entry twice, first as NaN.
+# names a coordinate file that lists one entry twice, first as NaN, and
+# {bad_index} one whose entry has a non-integer index.
 MALFORMED_INVOCATIONS = [
     ("gen --kind fast --n 1000 --out {out}", 2),
     ("gen --kind fast --n 0 --out {out}", 2),
@@ -255,6 +256,7 @@ MALFORMED_INVOCATIONS = [
     ("spectra --input {overflow}", 3),
     ("spectra --input {nan}", 3),
     ("spectra --input {repeated}", 3),
+    ("spectra --input {bad_index}", 3),
     ("spectra --input {empty}", 3),
     ("refine --input {sizeless}", 3),
     ("refine --kind fast --n 128 --rho 33", 2),
@@ -308,13 +310,17 @@ def test_malformed_invocation_exit_code(argv, code, matrix_file, tmp_path,
     repeated = tmp_path / "repeated.mtx"
     repeated.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 2\n1 1 nan\n1 1 2.0\n")
+    bad_index = tmp_path / "bad_index.mtx"
+    bad_index.write_text("%%MatrixMarket matrix coordinate real general\n"
+                         "2 2 1\n1 x 2.0\n")
     empty = tmp_path / "empty.mtx"
     empty.write_text("")
     sizeless = tmp_path / "sizeless.mtx"
     sizeless.write_text("%%MatrixMarket matrix array real general\n% c\n")
     paths = {"good": matrix_file[0], "missing": tmp_path / "missing.mtx",
              "garbled": garbled, "overflow": overflow, "nan": nan,
-             "repeated": repeated, "empty": empty, "sizeless": sizeless,
+             "repeated": repeated, "bad_index": bad_index, "empty": empty,
+             "sizeless": sizeless,
              "out": tmp_path / "out", "missing_dir": tmp_path / "no_such_dir"}
     assert main(argv.format(**paths).split()) == code
     captured = capsys.readouterr()

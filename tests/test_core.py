@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,8 @@ def test_materialize_forms():
 def test_factored_dimension_checks():
     with pytest.raises(DimensionError):
         Factored2(np.zeros((3, 2)), np.zeros((3, 4)))
+    with pytest.raises(DimensionError, match="2-D"):
+        Factored2(np.zeros((3, 2, 1)), np.zeros((2, 4)))
 
 
 def test_topsvd_invariants_enforced():
@@ -98,6 +101,10 @@ def test_topsvd_invariants_enforced():
         TopSVD(Q, np.array([0.5, 1.0]), Q)
     with pytest.raises(PreconditionError):
         TopSVD(Q, np.array([1.0, -0.5]), Q)
+    with pytest.raises(DimensionError, match="vector"):
+        TopSVD(Q, np.array([[1.0, 0.5]]), Q)
+    with pytest.raises(DimensionError, match="column counts"):
+        TopSVD(Q, np.array([1.0, 0.5, 0.2]), Q)
 
 
 def test_lra_sum_cancellation_and_identity():
@@ -212,6 +219,15 @@ def test_frobenius_norm_survives_overflowing_squares(s):
     D = np.random.default_rng(79).standard_normal((6, 5))
     assert matrix_norm(D * s, "frobenius") == pytest.approx(
         np.linalg.norm(D) * s, rel=1e-14, abs=0)
+
+
+def test_norms_past_the_double_range_are_inf_without_a_warning():
+    D = np.full((4, 3), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_norm(D) == np.inf
+        assert spectral_norm(D.T) == np.inf
+        assert matrix_norm(D, "frobenius") == np.inf
 
 
 def test_spectral_norm_rejects_non_finite_entries():

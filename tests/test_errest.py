@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from sublra import (CountingAccessor, Factored2, PreconditionError,
-                    entry_lower_bound, frobenius_confidence_band,
-                    gaussian_error_estimate, gen_delta, make_multiplier,
-                    matrix_norm, residual_probe, sketch_norm_bounds)
+from sublra import (CountingAccessor, DimensionError, ErrorEstimate,
+                    Factored2, PreconditionError, entry_lower_bound,
+                    frobenius_confidence_band, gaussian_error_estimate,
+                    gen_delta, make_multiplier, matrix_norm, residual_probe,
+                    sketch_norm_bounds)
 from sublra.errest import _operator_norm
 from sublra.sketch import apply_left, apply_right
 
@@ -17,6 +18,13 @@ from sublra.sketch import apply_left, apply_right
 def test_estimators_read_only_through_an_accessor(estimate):
     with pytest.raises(TypeError, match="CountingAccessor"):
         estimate(np.ones((40, 30)))
+
+
+def test_error_estimate_rejects_bad_bounds():
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        ErrorEstimate(lower_bound=-1.0)
+    with pytest.raises(PreconditionError, match="exceeds"):
+        ErrorEstimate(lower_bound=2.0, upper_bound=1.0)
 
 
 def test_entry_bound_zero_matrix():
@@ -127,8 +135,6 @@ class TestSketchNormBounds:
             scale * bound(self.E), rel=1e-14, abs=0)
 
     def test_missing_operator_rejected(self):
-        from sublra import DimensionError
-
         with pytest.raises(DimensionError):
             sketch_norm_bounds(FE=self.FE)
         with pytest.raises(PreconditionError):
@@ -254,3 +260,5 @@ class TestResidualProbe:
         prev, cur = self.make_pair()
         with pytest.raises(PreconditionError):
             residual_probe(prev, cur, 0)
+        with pytest.raises(DimensionError, match="shapes disagree"):
+            residual_probe(prev, Factored2(cur.A[:-1], cur.B), 8)

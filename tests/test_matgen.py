@@ -8,8 +8,9 @@ import pytest
 import scipy.linalg as la
 
 import sublra
-from sublra import (PreconditionError, SpectrumSpec, fast_decay_spectrum,
-                    gen_delta, gen_synthetic, slow_decay_spectrum)
+from sublra import (DimensionError, PreconditionError, SpectrumSpec,
+                    fast_decay_spectrum, gen_delta, gen_synthetic,
+                    slow_decay_spectrum)
 from sublra.matgen import load_input, spectrum_by_name
 from sublra.mmio import save_matrix
 
@@ -36,6 +37,8 @@ def test_spectrum_validation():
         SpectrumSpec(np.array([1.0, 2.0]))
     with pytest.raises(PreconditionError):
         SpectrumSpec(np.array([1.0, -0.5]))
+    with pytest.raises(DimensionError, match="nonempty"):
+        SpectrumSpec([])
     # the CLI's --kind allows only fast and slow, and so does the library
     for kind in ("medium", "fastDecay", "slowDecay"):
         with pytest.raises(ValueError, match="unknown spectrum kind"):
@@ -68,6 +71,8 @@ def test_gen_synthetic_rejects_bad_sizes():
         gen_synthetic(1000, SpectrumSpec(np.ones(1000)), seed=0)
     with pytest.raises(PreconditionError):
         gen_synthetic(64, SpectrumSpec(np.ones(64)), seed=0)
+    with pytest.raises(DimensionError, match="spectrum length 256"):
+        gen_synthetic(128, fast_decay_spectrum(256), 0)
 
 
 def test_gen_delta_examples():

@@ -233,9 +233,12 @@ def test_non_finite_value_names_its_line(tmp_path, text, line, token):
      "symmetric matrix must be square"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
      "2 2\n", 4, "coordinate entry must be 'i j value'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 2.0\n", 3,
+     "bad entry '1 x 2.0'"),
 ], ids=["format", "field", "symmetry", "empty", "no-size-line",
         "size-token-count", "size-non-integer", "nonpositive-dimension",
-        "non-square-symmetric", "coordinate-token-count"])
+        "non-square-symmetric", "coordinate-token-count",
+        "coordinate-non-integer-index"])
 def test_malformed_file_names_its_line(tmp_path, text, line, message):
     path = tmp_path / "bad.mtx"
     path.write_text(text)

@@ -16,6 +16,7 @@ import sublra
 from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, RatioOracle, RefineConfig, materialize,
                     recompress, refine, sketch_rank_r_approx, make_multiplier)
+from sublra.core import thin_qr
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
 from sublra.refine import RankDeficientSketchWarning, _step
 from sublra.sketch import apply_dense
@@ -473,6 +474,32 @@ def test_refine_progress_statistics():
         if e1 < e0 and e2 < e1:
             good += 1
     assert good >= 0.95 * trials
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 12: at depth 3 the right sketch E H of a coherent input "
+    "has exact zero columns, the fit spends correction directions on "
+    "rounding, and the iterate ends far above its best earlier ratio"))
+def test_refine_does_not_diverge_on_coherent_input():
+    n, rho = 1024, 20
+    s = fast_decay_spectrum(n).values[:100]
+    diverged = []
+    for k in range(20):
+        # singular vectors supported on 128 random rows: a Haar 128x100
+        # block from the QR of a Gaussian, for U and then for V
+        rng = np.random.default_rng(100 + k)
+        U, V = np.zeros((n, 100)), np.zeros((n, 100))
+        for X in (U, V):
+            X[rng.choice(n, 128, replace=False)] = \
+                thin_qr(rng.standard_normal((128, 100)))[0]
+        M = (U * s) @ V.T
+        _, report = refine(CountingAccessor(M),
+                           RefineConfig(rho=rho, max_iters=5, depth=3, seed=k),
+                           evaluator=RatioOracle(M, rho))
+        ratios = [r.ratio_after for r in report.records]
+        if ratios[-1] > 1.01 * min(ratios[:-1]):
+            diverged.append((k, ratios[-1] / min(ratios[:-1])))
+    assert not diverged, f"final/best earlier ratio by seed: {diverged}"
 
 
 def test_refine_config_validation():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, apply_dense, apply_left, apply_right,
-                    apply_to_factored, make_multiplier, materialize)
+                    apply_to_factored, make_multiplier, materialize,
+                    topsvd_of_lra)
 
 
 @pytest.mark.parametrize("n", [128, 1024])
@@ -127,6 +128,8 @@ def test_construction_preconditions():
         make_multiplier("ahad", 300, 256, depth=0, seed=0)
     with pytest.raises(ValueError):
         make_multiplier("fourier", 8, 64, seed=0)
+    with pytest.raises(ValueError, match="side"):
+        make_multiplier("ahad", 8, 64, seed=0, side="up")
 
 
 @pytest.mark.parametrize("kind", ["ahad", "gaussian"])
@@ -199,6 +202,9 @@ def test_apply_dimension_checks():
         apply_right(M, H)
     with pytest.raises(DimensionError):
         apply_left(H, M)
+    with pytest.raises(TypeError, match="CountingAccessor"):
+        apply_left(make_multiplier("ahad", 4, 16, depth=1, seed=0),
+                   np.ones((16, 8)))
 
 
 def test_apply_to_factored_matches_materialized_and_reads_nothing():
@@ -219,6 +225,8 @@ def test_apply_to_factored_matches_materialized_and_reads_nothing():
     zero = Factored2.zero(64, 48)
     assert np.all(apply_to_factored(F, zero) == 0.0)
     assert np.all(apply_to_factored(H, zero) == 0.0)
+    with pytest.raises(TypeError, match="Factored2"):
+        apply_to_factored(F, topsvd_of_lra(L, 3))
 
 
 def test_apply_dense_orientations():

@@ -100,14 +100,21 @@ def test_non_finite_factor_rejected(bad):
     factors = {"A": rng.standard_normal((40, 6)),
                "B": rng.standard_normal((6, 30))}
     factors[bad][3, 1] = -np.inf
-    with pytest.raises(PreconditionError, match=f"factor {bad}"):
-        topsvd_of_lra(Factored2(factors["A"], factors["B"]), 3)
+    # the pivoted path checks before scipy's QR, which raises its own error
+    for truncate in (topsvd_of_lra, topsvd_of_lra_qrp, recompress):
+        with pytest.raises(PreconditionError, match=f"factor {bad}"):
+            truncate(Factored2(factors["A"], factors["B"]), 3)
 
 
 def test_rho_out_of_range():
     L = Factored2(np.ones((5, 2)), np.ones((2, 5)))
     with pytest.raises(DimensionError):
         topsvd_of_lra(L, 3)
+    # a rank bound above min(m, n) = 3
+    L = Factored2(np.ones((5, 4)), np.ones((4, 3)))
+    for truncate in (topsvd_of_lra, recompress):
+        with pytest.raises(DimensionError, match="exceeds min"):
+            truncate(L, 2)
 
 
 class TestQRPVariant:
@@ -201,6 +208,10 @@ class TestRecompress:
         L = decayed_instance(64, 60, 12, 0.5, seed=35)
         R = recompress(L, 4)
         assert R.rank_bound == 4
+        # without right, the update of the rank-0 iterate by all of L
+        assert isinstance(R, TopSVD)
+        want = topsvd_of_lra(L, 4).sigma
+        assert np.abs(R.sigma - want).max() <= 1e-12 * want[0]
 
     def test_error_growth_bounds(self):
         # triangle-inequality bounds for the exact truncation path
