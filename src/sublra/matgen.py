@@ -1,17 +1,19 @@
 """Synthetic test inputs: prescribed-spectrum matrices and single-entry deltas.
 
-Random inputs are built as U diag(values) V^T where U and V are the left and
-right singular-vector factors of one seeded standard Gaussian matrix.  The
-generator is numpy's PCG64, so a recorded 64-bit seed replays the Gaussian
-exactly, but the matrix only at a fixed BLAS thread count: the bits of the
-singular vectors that the SVD returns depend on it (at n=1024 they differ
-between one and two OpenBLAS threads).
+Random inputs are built as U diag(values) V^T where U and V are the first r
+columns of two independent Haar-distributed orthogonal matrices, r the
+number of nonzero values.  Each factor is the Q of a thin QR of a seeded
+n-by-r standard Gaussian with the signs of R's diagonal folded in
+(Mezzadri, "How to generate random matrices from the classical compact
+groups", Notices AMS 2007), so the input costs O(n^2 r), not a full n-by-n
+SVD.  The generator is numpy's PCG64, and the QR's bits do not depend on
+the BLAS thread count, so a recorded 64-bit seed replays the matrix byte
+for byte (tested at one and two OpenBLAS threads).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .core import DimensionError, PreconditionError
 from .mmio import load_matrix, pad_matrix
@@ -65,8 +67,22 @@ def spectrum_by_name(kind, n):
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
+def _haar_columns(rng, n, r):
+    """First r columns of a Haar-distributed n-by-n orthogonal matrix.
+
+    copysign, not sign, so a zero diagonal entry of R keeps its column.
+    """
+    Q, R = np.linalg.qr(rng.standard_normal((n, r)))
+    return Q * np.copysign(1.0, np.diag(R))
+
+
 def gen_synthetic(n, spec, seed):
     """Seeded n-by-n matrix whose singular values equal ``spec.values``.
+
+    M = U diag(s) V^T over the r nonzero values s of the spectrum, which
+    form a prefix since the spectrum is nonincreasing and nonnegative.  U
+    and V are n-by-r with orthonormal columns, drawn Haar (U first, then V)
+    from one ``default_rng(seed)``.
 
     n must be a power of two (>= 128) so the abridged Hadamard multipliers
     divide it evenly downstream; use ``pad_matrix`` for other sizes.
@@ -78,10 +94,11 @@ def gen_synthetic(n, spec, seed):
     if spec.values.shape[0] != n:
         raise DimensionError(
             f"spectrum length {spec.values.shape[0]} != n={n}")
+    r = np.count_nonzero(spec.values)
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    U, _, Vt = la.svd(G)
-    return (U * spec.values[None, :]) @ Vt
+    U = _haar_columns(rng, n, r)
+    V = _haar_columns(rng, n, r)
+    return (U * spec.values[:r]) @ V.T
 
 
 def gen_delta(m, n, i, j):

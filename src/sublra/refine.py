@@ -7,18 +7,24 @@ E H = M H - Mtilde H, fits a rank-r correction from the sketches alone and
 adds it to the running approximation Mtilde; it is the only code that reads
 M.  The driver, ``refine``, draws new F and H for every step, checks that
 nothing read M after it, evaluates the sum, truncates it back to the target
-rank and records the iteration.  The rank-r fit (a thin QR and a thin
-SVD) is:
+rank and records the iteration.  The rank-r fit (a thin QR, the SVD of
+its r-by-r R and a thin SVD) is:
 
-    Q  <- Q factor of the thin QR of E H
+    Q, R <- thin QR of E H;  U_R, s_R <- SVD of R
+    Q  <- Q U_R[:, s_R > 1e-14 s_R[0]]   (only if that drops a column)
     W, s, V <- thin SVD of F Q = W diag(s) V^T
     correction = Q (V diag(s^+) W^T (F E))
 
 which, with s^+ zeroing the singular values at or below 1e-12 s_1,
 recovers E exactly whenever E has rank at most r and the sketches
-retain it.  Each iteration runs at r = rank + rho: r = rho first, then
-r = 2 rho, since every iterate is truncated back to rank rho.  A run takes
-exactly ``max_iters`` iterations.
+retain it.  Cutting Q to the directions E H holds keeps the fit from
+spending correction directions on the columns that rounding sets where
+E H is numerically rank deficient (say, an input whose column support
+some columns of H miss); the cutoff sits at rounding level, so the
+genuine small directions of a fast-decaying residual stay.  Each
+iteration runs at r = rank + rho: r = rho first, then r = 2 rho, since
+every iterate is truncated back to rank rho.  A run takes exactly
+``max_iters`` iterations.
 
 The driver keeps each iterate as U S V^T with U and V orthonormal: after
 a truncation S = diag(sigma); after iteration 0, whose fit Q C stays
@@ -155,8 +161,9 @@ def sketch_rank_r_approx(FE, EH, F):
 
     FE is the 2r-by-n left sketch, EH the m-by-r right sketch, F the operator
     that produced FE.  Returns the correction in factored form with rank
-    bound r.  A sketch with an inf or NaN entry (say, from an input whose
-    entries overflow when summed) raises PreconditionError.
+    bound r, or less where E H is numerically rank deficient.  A sketch
+    with an inf or NaN entry (say, from an input whose entries overflow
+    when summed) raises PreconditionError.
     """
     FE = np.asarray(FE, dtype=np.float64)
     EH = np.asarray(EH, dtype=np.float64)
@@ -173,7 +180,14 @@ def sketch_rank_r_approx(FE, EH, F):
             raise PreconditionError(
                 f"{name} has non-finite entries; the input may overflow "
                 f"float64 when sketched")
-    Q = thin_qr(EH)[0]
+    Q, R = thin_qr(EH)
+    # keep only the directions E H holds: where it is numerically rank
+    # deficient, Q's other columns are set by rounding.  A full-rank step
+    # keeps Q's bits, and a zero E H (s_R all zero) drops nothing.
+    U_R, s_R = np.linalg.svd(R)[:2]
+    held = s_R > 1e-14 * s_R[0]
+    if s_R[0] > 0 and not held.all():
+        Q = Q @ U_R[:, held]
     W, s, Vt = np.linalg.svd(apply_dense(F, Q), full_matrices=False)
     keep = s > 1e-12 * s[0]
     if not keep.all():

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sublra
 from sublra import (DimensionError, PreconditionError, SpectrumSpec,
@@ -97,22 +99,62 @@ def test_load_input_with_padding(tmp_path):
     assert np.array_equal(load_input(path), M)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 7: gen_synthetic's full SVD of a Gaussian gives "
-    "singular-vector bits that depend on the BLAS thread count at n=1024, "
-    "so the written file differs (first at line 4)"))
-def test_gen_bytes_do_not_depend_on_blas_threads(tmp_path):
+def _cli_bytes_at_blas_threads(args, tmp_path):
+    """What ``sublra <args> --out FILE`` writes at 1 and at 2 OpenBLAS
+    threads."""
     src = str(Path(sublra.__file__).parents[1])
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.mtx"
+        out = tmp_path / f"threads{threads}.out"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run(
-            [sys.executable, "-m", "sublra.cli", "gen", "--kind", "fast",
-             "--n", "1024", "--gen-seed", "1", "--out", str(out)],
+            [sys.executable, "-m", "sublra.cli", *args, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         written.append(out.read_bytes())
-    assert written[0] == written[1]
+    return written
+
+
+@pytest.mark.parametrize("kind", ["fast", "slow"])
+def test_gen_bytes_do_not_depend_on_blas_threads(kind, tmp_path):
+    one, two = _cli_bytes_at_blas_threads(
+        ["gen", "--kind", kind, "--n", "1024", "--gen-seed", "1"], tmp_path)
+    assert one == two
+
+
+def test_bench_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the inputs, refine's iterates and the oracle's ratios all keep their
+    # bits, so a bench row replays on a machine with another core count
+    one, two = _cli_bytes_at_blas_threads(
+        ["bench", "--n", "1024", "--trials", "1", "--multiplier", "both",
+         "--seed", "0"], tmp_path)
+    assert one.count(b"\n") == 5
+    assert one == two
+
+
+@st.composite
+def spectra_with_trailing_zeros(draw):
+    """A size n, and a spectrum of n values of which a random suffix is
+    zero: all of them, all but one, or any other number."""
+    n = draw(st.sampled_from([128, 256]))
+    r = draw(st.one_of(st.sampled_from([0, 1, n]), st.integers(0, n)))
+    top = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # the nonzero values span at most three decades, far above rounding,
+    # so the numerical rank is unambiguous
+    values = np.zeros(n)
+    values[:r] = top * np.sort(rng.uniform(1e-3, 1.0, r))[::-1]
+    return n, r, values
+
+
+@settings(max_examples=25)
+@given(case=spectra_with_trailing_zeros(), seed=st.integers(0, 2 ** 63 - 1))
+def test_gen_synthetic_matches_any_spectrum(case, seed):
+    n, r, values = case
+    M = gen_synthetic(n, SpectrumSpec(values), seed)
+    s = la.svd(M, compute_uv=False)
+    scale = max(values[0], 1.0)
+    assert np.abs(s - values).max() <= 1e-12 * scale
+    assert np.count_nonzero(s > 1e-10 * scale) == r

@@ -476,10 +476,6 @@ def test_refine_progress_statistics():
     assert good >= 0.95 * trials
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 12: at depth 3 the right sketch E H of a coherent input "
-    "has exact zero columns, the fit spends correction directions on "
-    "rounding, and the iterate ends far above its best earlier ratio"))
 def test_refine_does_not_diverge_on_coherent_input():
     n, rho = 1024, 20
     s = fast_decay_spectrum(n).values[:100]
