@@ -355,7 +355,10 @@ def truncate_svd(M, rho):
 
 
 def lra_sum(L1, L2):
-    """Sum of two 2-factor forms by factor concatenation; rank bound adds."""
+    """Sum of two 2-factor forms by factor concatenation; rank bound adds.
+    A TopSVD first operand enters as its ``to_factored2()``."""
+    if isinstance(L1, TopSVD):
+        L1 = L1.to_factored2()
     if L1.shape != L2.shape:
         raise DimensionError(f"outer shapes disagree: {L1.shape} vs {L2.shape}")
     return Factored2(np.hstack([L1.A, L2.A]), np.vstack([L1.B, L2.B]))

@@ -26,16 +26,15 @@ iteration runs at r = rank + rho: r = rho first, then r = 2 rho, since
 every iterate is truncated back to rank rho.  A run takes exactly
 ``max_iters`` iterations.
 
-The driver keeps each iterate as U S V^T with U and V orthonormal: after
-a truncation S = diag(sigma); after iteration 0, whose fit Q C stays
-untruncated, U = Q and a thin QR of C^T gives V and S.  So each truncation
-is an SVD update of the iterate by the correction (``topsvd.recompress``
-with ``right=(S, V)``), which factors only the parts of Q and C^T outside
-span(U) and span(V), not the whole sum; only a result that is not
-orthonormal is recomputed from the whole sum by Householder QRs
-(``topsvd.topsvd_of_lra``).  The driver holds one copy of
-each factor: it drops the iterate once the step has copied it into the
-sum, and the sum once it is truncated.
+After every iteration, iteration 0 included, the iterate is a TopSVD
+U diag(sigma) V^T with U and V orthonormal.  Each iteration truncates its
+sum by an SVD update of the iterate by the correction
+(``topsvd.recompress`` with ``right=iterate``; iteration 0 updates the
+rank-0 iterate it starts from), which factors only the parts of Q and
+C^T outside span(U) and span(V), not the whole sum; only a result that is
+not orthonormal is recomputed from the whole sum by Householder QRs
+(``topsvd.topsvd_of_lra``).  The step sketches the iterate from its
+TopSVD factors, and the driver frees the sum once it is truncated.
 
 Abridged multipliers draw their rows and signs anew every iteration, but
 only from one class pool per run (see ``sketch.make_multiplier``): 2 r_max
@@ -61,6 +60,7 @@ import io
 import time
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -92,6 +92,13 @@ class RefineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy integers become ints, whose arithmetic does not wrap
+        for name in ("rho", "max_iters", "depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise PreconditionError(
+                    f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.rho < 1:
             raise PreconditionError("rho must be positive")
         if self.max_iters < 1:
@@ -216,9 +223,9 @@ def _run_seeds(master_seed, max_iters):
 
 
 def _step(M, approx, F, H):
-    """One step of classical refinement: approx plus a rank-r correction of
-    its residual E = M - approx, fitted from the sketches F E and E H, which
-    are the only reads of M."""
+    """One step of classical refinement: approx (a Factored2 or a TopSVD)
+    plus a rank-r correction of its residual E = M - approx, fitted from
+    the sketches F E and E H, which are the only reads of M."""
     FE = apply_left(F, M) - apply_to_factored(F, approx)
     EH = apply_right(M, H) - apply_to_factored(H, approx)
     return lra_sum(approx, sketch_rank_r_approx(FE, EH, F))
@@ -229,53 +236,48 @@ def refine(M, config, evaluator=None):
 
     M is a CountingAccessor; all raw reads happen inside ``_step``, and the
     driver checks in every iteration that nothing reads M after it.
-    ``evaluator``, when given, is called with each pre-truncation and
-    post-truncation iterate to fill the report's error ratios; it must not
-    read through the accessor, and a read raises RuntimeError.
+    ``evaluator``, when given, is called with each sum that is truncated,
+    before its truncation, and with each iterate's ``to_factored2()``, to
+    fill the report's error ratios; it must not read through the accessor,
+    and a read raises RuntimeError.
 
     Runs exactly ``config.max_iters`` iterations and returns
-    (approximation, report); the approximation has rank at most rho.
+    (approximation, report); the approximation is the last iterate's
+    ``to_factored2()``, of rank at most rho.
     """
     if not isinstance(M, CountingAccessor):
         raise TypeError("refine reads through a CountingAccessor")
     config.validate_for(M.shape)
     m, n = M.shape
     t0 = time.perf_counter()
-    approx = Factored2.zero(m, n)
+    iterate = Factored2.zero(m, n)
     report = RefinementReport(config=config)
     seeds, (pool_f, pool_h) = _run_seeds(config.seed, config.max_iters)
     r_max = 2 * config.rho
-    right = None  # (S, V) with approx = approx.A S V^T, V orthonormal
 
     for i, (seed_f, seed_h) in enumerate(seeds):
-        k = approx.rank_bound
-        r = k + config.rho
+        r = iterate.rank_bound + config.rho
         F = make_multiplier(config.multiplier, 2 * r, m, depth=config.depth,
                             seed=seed_f, side="left", pool=(pool_f, 2 * r_max))
         H = make_multiplier(config.multiplier, r, n, depth=config.depth,
                             seed=seed_h, side="right", pool=(pool_h, r_max))
-        updated = _step(M, approx, F, H)
-        # approx's factors are the leading blocks of updated's
-        del approx
+        updated = _step(M, iterate, F, H)
         reads_after_step = M.total_reads
         rank_before = updated.rank_bound
-        ratio_before = None if evaluator is None else float(evaluator(updated))
-        if updated.rank_bound > config.rho:
-            if right is None:
-                # iteration 0 kept its fit Q C untruncated, Q orthonormal;
-                # the thin QR C^T = V R gives C = S V^T with S = R^T
-                V, R = thin_qr(updated.B[:k].T)
-                right = (R.T, V)
-                del V, R  # right holds them until the next truncation frees it
-            top = recompress(updated, config.rho, right=right)
-            approx, right = top.to_factored2(), (np.diag(top.sigma), top.V)
-            # approx and right hold the factors now; the sum is dead, so
-            # free it before the evaluator and the next step run
-            del top, updated
-            ratio_after = None if evaluator is None else float(evaluator(approx))
-        else:
-            approx = updated
-            ratio_after = ratio_before
+        # a sum of rank at most rho (iteration 0's) is refactored, not
+        # truncated, so the evaluator scores it once, after
+        truncates = rank_before > config.rho
+        ratio_before = (float(evaluator(updated))
+                        if evaluator is not None and truncates else None)
+        # the sum's leading columns are the iterate's U
+        iterate = recompress(updated, min(config.rho, rank_before),
+                             right=None if i == 0 else iterate)
+        # free the sum before the evaluator and the next step run
+        del updated
+        ratio_after = (None if evaluator is None
+                       else float(evaluator(iterate.to_factored2())))
+        if not truncates:
+            ratio_before = ratio_after
         if M.total_reads != reads_after_step:
             raise RuntimeError(
                 f"input read outside sketch application in iteration {i}: "
@@ -284,15 +286,15 @@ def refine(M, config, evaluator=None):
         report.records.append(IterationRecord(
             iteration=i,
             rank_before=rank_before,
-            rank_after=approx.rank_bound,
+            rank_after=iterate.rank_bound,
             ratio_before=ratio_before,
             ratio_after=ratio_after,
             distinct_accesses=M.distinct_accessed,
             total_reads=M.total_reads,
         ))
 
-    report.final_rank = approx.rank_bound
+    report.final_rank = iterate.rank_bound
     report.total_distinct_accesses = M.distinct_accessed
     report.total_reads = M.total_reads
     report.wall_time = time.perf_counter() - t0
-    return approx, report
+    return iterate.to_factored2(), report

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import CountingAccessor, DimensionError, Factored2, PreconditionError
+from .core import (CountingAccessor, DimensionError, Factored2,
+                   PreconditionError, TopSVD)
 
 
 @dataclass
@@ -191,9 +192,15 @@ def apply_right(M, H):
 
 
 def apply_to_factored(op, L):
-    """Sketch of a factored form: (F A) B or A (B H), zero accessor reads."""
+    """Sketch of a factored form, zero accessor reads: (F A) B or A (B H)
+    for a Factored2, and ((F U) diag(sigma)) V^T or U (diag(sigma) (V^T H))
+    for a TopSVD, which so never forms its sigma V^T."""
+    if isinstance(L, TopSVD):
+        if op.side == "left":
+            return (apply_dense(op, L.U) * L.sigma) @ L.V.T
+        return L.U @ (L.sigma[:, None] * apply_dense(op, L.V.T))
     if not isinstance(L, Factored2):
-        raise TypeError("apply_to_factored expects a Factored2")
+        raise TypeError("apply_to_factored expects a Factored2 or a TopSVD")
     if op.side == "left":
         return apply_dense(op, L.A) @ L.B
     return L.A @ apply_dense(op, L.B)

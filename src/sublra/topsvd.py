@@ -4,13 +4,13 @@
 A @ B to a k-by-k core, whose SVD is composed with the two orthonormal
 bases.  ``recompress`` truncates a factored form to rank rho by one path,
 an SVD update (Brand, "Fast low-rank modifications of the thin singular
-value decomposition", LAA 415, 2006): the form is an iterate U S V^T with
-U and V orthonormal plus a correction Q C (the refinement driver's sums;
-without an iterate, k = 0 and the whole form is the correction), block
-Gram-Schmidt splits Q against U and C^T against V, and only the parts
-outside span(U) and span(V) are factored by thin QRs, a few columns at a
-time, where ``topsvd_of_lra`` factors all k + r columns of each factor at
-once.  A result that is not orthonormal falls back to ``topsvd_of_lra``.
+value decomposition", LAA 415, 2006): the form is an iterate
+U diag(sigma) V^T, a TopSVD, plus a correction Q C (the refinement
+driver's sums; without an iterate, k = 0 and the whole form is the
+correction), block Gram-Schmidt splits Q against U and C^T against V,
+and only the parts outside span(U) and span(V) are factored by thin QRs,
+a few columns at a time, where ``topsvd_of_lra`` factors all k + r
+columns of each factor at once.  A result that is not orthonormal falls back to ``topsvd_of_lra``.
 ``topsvd_of_lra_qrp`` uses pivoted QR factorizations instead and truncates
 the core to rho-by-rho before its SVD, permuting the triangular factors by
 indexing with the pivot order, not by permutation matrices.  It is an
@@ -157,35 +157,39 @@ def _split(B, X):
     coef = np.zeros((k + r, r))
     for j in range(0, r, SPLIT_PANEL):
         e = min(j + SPLIT_PANEL, r)
-        W = basis[:, :k + j]
-        P = W.T @ X[:, j:e]
-        Z = X[:, j:e] - W @ P
-        P2 = W.T @ Z
-        Z -= W @ P2
-        coef[:k + j, j:e] = P + P2
+        Z = X[:, j:e]
+        if k + j:  # an empty basis projects nothing off
+            W = basis[:, :k + j]
+            P = W.T @ Z
+            Z = Z - W @ P
+            P2 = W.T @ Z
+            Z -= W @ P2
+            coef[:k + j, j:e] = P + P2
         basis[:, k + j:k + e], coef[k + j:k + e, j:e] = thin_qr(Z)
     return basis, coef
 
 
 def recompress(L, rho, right=None):
     """Truncate a factored form back to rank rho exactly: the top-rho SVD
-    of L = [U, Q] [S V^T; C] by updating the SVD of U S V^T.
+    of L = [U, Q] [diag(sigma) V^T; C] by updating the SVD of the iterate
+    U diag(sigma) V^T.
 
     The error obeys the triangle-inequality growth bounds
     ||M - (AB)_rho|| <= ||M - AB|| + tau_rho(AB)
     and ||M - (AB)_rho|| <= 2 ||M - AB|| + tau_rho(M).
 
-    ``right=(S, V)`` declares L an iterate plus a correction (the
-    refinement driver's sums): U = L.A[:, :k] and V (n-by-k) have
-    orthonormal columns, S is k-by-k, Q = L.A[:, k:] and C = L.B[k:];
-    L.B[:k], which holds S V^T, is not read.  Without ``right`` L is a
-    correction to the rank-0 iterate: k = 0, S is 0-by-0 and V n-by-0.
-    With Q = [U, Q1] [P; R1] and C^T = [V, Q2] [G; R2] from ``_split``,
+    ``right``, a TopSVD of rank k, is the iterate that L extends (the
+    refinement driver's sums): U = L.A[:, :k] is its U, V and sigma are
+    read from ``right``, Q = L.A[:, k:] and C = L.B[k:] are the
+    correction; L.B[:k], which holds sigma V^T, is not read.  Without
+    ``right`` L is a correction to the rank-0 iterate: k = 0.  With
+    Q = [U, Q1] [P; R1] and C^T = [V, Q2] [G; R2] from ``_split``,
 
-        L = [U, Q1] ([[S, 0], [0, 0]] + [P; R1] [G; R2]^T) [V, Q2]^T,
+        L = [U, Q1] ([[diag(sigma), 0], [0, 0]] + [P; R1] [G; R2]^T)
+            [V, Q2]^T,
 
     and the SVD of that (k + r)-by-(k + r) core, composed with the two
-    bases, gives the triplets as a TopSVD, whose sigma and V the next
+    bases, gives the triplets as a TopSVD, the iterate that the next
     update takes.  Where a remainder is (nearly) rank deficient, say when
     Q lies partly in span(U) or C is rank deficient, Householder columns
     for its null directions are not orthogonal to the basis before them;
@@ -197,17 +201,20 @@ def recompress(L, rho, right=None):
     """
     _check_ranks(L, rho)
     _check_finite(L)
-    n = L.shape[1]
-    S, V = (np.zeros((0, 0)), np.zeros((n, 0))) if right is None else right
-    k = V.shape[1]
-    if V.shape[0] != n or S.shape != (k, k) or k > L.rank_bound:
-        raise DimensionError(
-            f"right factors S {S.shape} and V {V.shape} do not fit a sum of "
-            f"shape {L.shape} and rank bound {L.rank_bound}")
+    if right is None:
+        sigma, V = np.zeros(0), np.zeros((L.shape[1], 0))
+    else:
+        sigma, V = right.sigma, right.V
+        if right.shape != L.shape or right.rank_bound > L.rank_bound:
+            raise DimensionError(
+                f"iterate of shape {right.shape} and rank {right.rank_bound} "
+                f"does not fit a sum of shape {L.shape} and rank bound "
+                f"{L.rank_bound}")
+    k = sigma.size
     left_basis, left_coef = _split(L.A[:, :k], L.A[:, k:])
     right_basis, right_coef = _split(V, L.B[k:].T)
     core = left_coef @ right_coef.T
-    core[:k, :k] += S
+    core[:k, :k] += np.diag(sigma)
     Uc, s, Vct = _svd(core)
     try:
         return TopSVD(left_basis @ Uc[:, :rho], s[:rho],

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import sublra
 from sublra import (CountingAccessor, DimensionError, Factored2,
-                    PreconditionError, RatioOracle, RefineConfig, materialize,
-                    recompress, refine, sketch_rank_r_approx, make_multiplier)
+                    PreconditionError, RatioOracle, RefineConfig, TopSVD,
+                    materialize, recompress, refine, sketch_rank_r_approx,
+                    make_multiplier)
 from sublra.core import thin_qr
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
 from sublra.refine import RankDeficientSketchWarning, _step
@@ -179,6 +181,45 @@ def test_refine_rank_cap_and_records():
     # counters nondecreasing
     reads = [rec.total_reads for rec in report.records]
     assert reads == sorted(reads)
+
+
+def test_one_iteration_returns_a_truncated_iterate():
+    # iteration 0's fit is recompressed like every later sum, so even a
+    # one-iteration run returns U diag(sigma) V^T with U and V orthonormal
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=45)
+    approx, _ = refine(CountingAccessor(M),
+                       RefineConfig(rho=8, max_iters=1, seed=11))
+    A, B = approx.A, approx.B
+    assert np.abs(A.T @ A - np.eye(8)).max() <= 1e-12
+    gram = B @ B.T
+    d = np.diag(gram)
+    assert np.abs(gram - np.diag(d)).max() <= 1e-12 * d[0]
+    assert np.all(d >= 0) and np.all(np.diff(d) <= 0)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_every_iteration_recompresses_once(max_iters):
+    driver_module = importlib.import_module("sublra.refine")
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=45)
+    seen = []
+
+    def evaluator(L):
+        seen.append(L)
+        return 0.0
+
+    with mock.patch.object(driver_module, "recompress",
+                           wraps=driver_module.recompress) as update:
+        refine(CountingAccessor(M),
+               RefineConfig(rho=8, max_iters=max_iters, seed=11),
+               evaluator=evaluator)
+    assert update.call_count == max_iters
+    rights = [call.kwargs["right"] for call in update.call_args_list]
+    assert rights[0] is None
+    assert all(isinstance(right, TopSVD) for right in rights[1:])
+    # iteration 0's sum is only refactored, so it is scored once; every
+    # later sum is scored before and after its truncation.  One more oracle
+    # call per run would cost the bench table about a fifth of its time.
+    assert len(seen) == 2 * max_iters - 1
 
 
 def test_refine_determinism():
@@ -450,8 +491,9 @@ def test_refine_prefix_with_class_pool():
     acc = CountingAccessor(M)
     refine(acc, RefineConfig(rho=rho, max_iters=2, depth=depth, seed=27),
            evaluator=keep)
-    # iteration 0 is at rank rho and needs no truncation, so the evaluator's
-    # first call sees its iterate, which the one-iteration run returned
+    # iteration 0's sum is at rank rho and needs no truncation, so the
+    # evaluator's first call sees the iterate's to_factored2(), which the
+    # one-iteration run returned
     assert np.array_equal(iterates[0], materialize(first))
     assert acc.distinct_accessed <= (2 ** depth) * (3 * r_max * n)
 
@@ -508,6 +550,29 @@ def test_refine_config_validation():
         config.validate_for((64, 64))
     with pytest.raises(TypeError):
         refine(np.zeros((8, 8)), RefineConfig(rho=2))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("rho", 2.5), ("rho", True), ("rho", "4"), ("max_iters", 2.0),
+    ("depth", 2.0), ("depth", np.bool_(True)), ("seed", 0.0), ("seed", False),
+], ids=["rho-float", "rho-bool", "rho-str", "max_iters-float", "depth-float",
+        "depth-numpy_bool", "seed-float", "seed-bool"])
+def test_refine_config_rejects_non_integer_knobs(name, value):
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+        RefineConfig(**{"rho": 4, name: value})
+
+
+def test_refine_config_accepts_numpy_integers():
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=45)
+    plain, _ = refine(CountingAccessor(M),
+                      RefineConfig(rho=4, max_iters=2, depth=2, seed=7))
+    config = RefineConfig(rho=np.int64(4), max_iters=np.int32(2),
+                          depth=np.uint8(2), seed=np.uint64(7))
+    # an unsigned depth would wrap when negated
+    assert all(type(v) is int for v in
+               (config.rho, config.max_iters, config.depth, config.seed))
+    numpy_ints, _ = refine(CountingAccessor(M), config)
+    assert np.array_equal(materialize(plain), materialize(numpy_ints))
 
 
 def test_report_serialization():

@@ -225,8 +225,16 @@ def test_apply_to_factored_matches_materialized_and_reads_nothing():
     zero = Factored2.zero(64, 48)
     assert np.all(apply_to_factored(F, zero) == 0.0)
     assert np.all(apply_to_factored(H, zero) == 0.0)
+
+    # a TopSVD is sketched from its factors, never forming sigma V^T
+    top = topsvd_of_lra(L, 3)
+    for op in (F, H):
+        got = apply_to_factored(op, top)
+        want = apply_to_factored(op, top.to_factored2())
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert acc.total_reads == reads
     with pytest.raises(TypeError, match="Factored2"):
-        apply_to_factored(F, topsvd_of_lra(L, 3))
+        apply_to_factored(F, materialize(L))
 
 
 def test_apply_dense_orientations():

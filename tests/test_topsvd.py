@@ -273,14 +273,14 @@ def _piece(draw, rng, B, width, label):
 
 @st.composite
 def refine_sums(draw):
-    """A sum of recompress's update form, L = [U, Q] [S V^T; C] with U and V
-    orthonormal, and the rho to truncate it to.
+    """A sum of recompress's update form, L = [U, Q] [diag(sigma) V^T; C]
+    with the iterate U diag(sigma) V^T a TopSVD, and the rho to truncate
+    it to.
 
-    S is diagonal or lower triangular (as after a truncation or after
-    iteration 0) with some zero singular values; Q and C^T are ``_piece``
-    blocks against U and V; S, Q and C each carry a scale 10^e, e in
-    [-150, 150].  ``degenerate`` says that Q or C^T holds an exact
-    dependence, where the general path may serve.
+    sigma has some zero values; Q and C^T are ``_piece`` blocks against U
+    and V; sigma, Q and C each carry a scale 10^e, e in [-150, 150].
+    ``degenerate`` says that Q or C^T holds an exact dependence, where the
+    general path may serve.
     """
     k = draw(st.integers(1, 6), label="k")
     r = draw(st.integers(1, 20), label="r")  # up to three panels of _split
@@ -290,24 +290,24 @@ def refine_sums(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     U = thin_qr(rng.standard_normal((m, k)))[0]
     V = thin_qr(rng.standard_normal((n, k)))[0]
-    S = np.diag(np.sort(rng.uniform(0.5, 2.0, k))[::-1])
-    if draw(st.booleans(), label="triangular S"):
-        S = np.tril(rng.standard_normal((k, k)))
+    sigma = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
     zeros = draw(st.integers(0, k), label="zero singular values")
-    S[k - zeros:] = 0.0
+    sigma[k - zeros:] = 0.0
     Q, q_degenerate = _piece(draw, rng, U, r, "Q kind")
     Ct, c_degenerate = _piece(draw, rng, V, r, "C kind")
-    S, Q, Ct = (X * 10.0 ** rng.uniform(-150, 150) for X in (S, Q, Ct))
-    L = lra_sum(Factored2(U, S @ V.T), Factored2(Q, Ct.T))
-    return L, (S, V), rho, q_degenerate or c_degenerate
+    sigma, Q, Ct = (X * 10.0 ** rng.uniform(-150, 150)
+                    for X in (sigma, Q, Ct))
+    iterate = TopSVD(U, sigma, V)
+    L = lra_sum(iterate, Factored2(Q, Ct.T))
+    return L, iterate, rho, q_degenerate or c_degenerate
 
 
 @given(refine_sums())
 def test_update_matches_the_general_path(case):
-    L, right, rho, degenerate = case
+    L, iterate, rho, degenerate = case
     with mock.patch.object(topsvd, "topsvd_of_lra",
                            wraps=topsvd.topsvd_of_lra) as general:
-        got = recompress(L, rho, right=right)
+        got = recompress(L, rho, right=iterate)
     # the update itself serves every sum without an exact dependence
     assert degenerate or not general.called
     assert isinstance(got, TopSVD) and got.rank_bound == rho
@@ -321,9 +321,14 @@ def test_update_rejects_right_factors_of_another_shape():
     rng = np.random.default_rng(48)
     U = thin_qr(rng.standard_normal((30, 3)))[0]
     V = thin_qr(rng.standard_normal((20, 3)))[0]
-    L = lra_sum(Factored2(U, V.T), Factored2(rng.standard_normal((30, 4)),
-                                             rng.standard_normal((4, 20))))
-    with pytest.raises(DimensionError, match="right factors"):
-        recompress(L, 3, right=(np.eye(3), V[:19]))
-    with pytest.raises(DimensionError, match="right factors"):
-        recompress(L, 3, right=(np.eye(2), V))
+    iterate = TopSVD(U, np.ones(3), V)
+    L = lra_sum(iterate, Factored2(rng.standard_normal((30, 4)),
+                                   rng.standard_normal((4, 20))))
+    with pytest.raises(DimensionError, match="iterate"):
+        recompress(L, 3, right=TopSVD(U, np.ones(3), thin_qr(V[:19])[0]))
+    with pytest.raises(DimensionError, match="iterate"):
+        recompress(L, 3, right=TopSVD(thin_qr(U[:29])[0], np.ones(3), V))
+    wide_U = thin_qr(rng.standard_normal((30, 8)))[0]
+    wide_V = thin_qr(rng.standard_normal((20, 8)))[0]
+    with pytest.raises(DimensionError, match="iterate"):
+        recompress(L, 3, right=TopSVD(wide_U, np.ones(8), wide_V))
