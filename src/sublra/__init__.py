@@ -19,7 +19,7 @@ from .errest import (ErrorEstimate, entry_lower_bound,
                      residual_probe, sketch_norm_bounds)
 from .matgen import (SpectrumSpec, fast_decay_spectrum, gen_delta,
                      gen_synthetic, slow_decay_spectrum)
-from .mmio import MatrixMarketError, load_matrix, pad_matrix, save_matrix
+from .mmio import MatrixMarketError, load_matrix, save_matrix
 from .refine import (IterationRecord, RefineConfig, RefinementReport,
                      refine, sketch_rank_r_approx)
 from .sketch import (SketchOperator, apply_dense, apply_left, apply_right,

@@ -33,7 +33,8 @@ from .core import (CountingAccessor, Factored2, PreconditionError,
                    spectral_norm, top_singular_values, truncate_svd)
 from .cur import nucleus_norm_bound, reconstruction_error, svd_to_cur
 from .errest import entry_lower_bound, gaussian_error_estimate
-from .matgen import gen_delta, gen_synthetic, load_input, spectrum_by_name
+from .matgen import gen_delta, gen_synthetic, spectrum_by_name
+from .mmio import load_matrix
 from .refine import RefineConfig, refine
 from .topsvd import topsvd_of_lra
 
@@ -90,8 +91,8 @@ def synthetic_input(kind, n, rho=20, seed=12345):
                       rho=rho, gen_seed=seed)
 
 
-def file_input(path, rho, pad=None):
-    return BenchInput(label=path, matrix=load_input(path, pad=pad), rho=rho)
+def file_input(path, rho):
+    return BenchInput(label=path, matrix=load_matrix(path), rho=rho)
 
 
 def trial_seeds(master_seed, trials):

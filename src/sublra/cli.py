@@ -16,27 +16,25 @@ from .core import (CountingAccessor, PreconditionError, RatioOracle,
 from .cur import nucleus_norm_bound, reconstruction_error, svd_to_cur
 from .errest import (entry_lower_bound, gaussian_error_estimate,
                      sketch_norm_bounds)
-from .matgen import gen_synthetic, load_input, spectrum_by_name
-from .mmio import MatrixMarketError, save_matrix
+from .matgen import gen_synthetic, spectrum_by_name
+from .mmio import MatrixMarketError, load_matrix, save_matrix
 from .refine import RefineConfig, refine
 from .sketch import apply_left, apply_right, make_multiplier
 
 
 def _add_input_args(p):
     p.add_argument("--input", help="Matrix Market input file")
-    p.add_argument("--pad", type=int, default=None,
-                   help="zero-pad a file input up to this square size")
     p.add_argument("--kind", choices=["fast", "slow"],
                    help="synthetic spectrum kind (alternative to --input)")
     p.add_argument("--n", type=int, default=1024,
-                   help="synthetic matrix size (power of two)")
+                   help="synthetic matrix size")
     p.add_argument("--gen-seed", type=int, default=12345,
                    help="seed of the synthetic matrix factors")
 
 
 def _resolve_input(args):
     if args.input:
-        return load_input(args.input, pad=args.pad), args.input
+        return load_matrix(args.input), args.input
     if args.kind:
         spec = spectrum_by_name(args.kind, args.n)
         return gen_synthetic(args.n, spec, args.gen_seed), args.kind
@@ -104,7 +102,7 @@ def cmd_refine(args):
 
 def cmd_bench(args):
     if args.input:
-        inputs = [bench_mod.file_input(args.input, args.rho, pad=args.pad)]
+        inputs = [bench_mod.file_input(args.input, args.rho)]
     else:
         kinds = ["fast", "slow"] if args.kind is None else [args.kind]
         inputs = [bench_mod.synthetic_input(k, args.n, rho=args.rho,

@@ -69,8 +69,11 @@ def entry_lower_bound(E, sample_count, seed=0):
 def _operator_norm(op, kind="spectral"):
     """Norm of a sketching operator.
 
-    An abridged operator has r' orthonormal rows, so its spectral norm is 1
-    and its Frobenius norm sqrt(r') exactly; a Gaussian one is computed.
+    An abridged operator that 2^d divides has r' orthonormal rows, so its
+    spectral norm is 1 and its Frobenius norm sqrt(r') exactly.  A cut one
+    (see ``sketch``) is a column subset of such an operator, so 1 and
+    sqrt(r') bound its norms from above and ``sketch_norm_bounds`` stays a
+    lower bound.  A Gaussian operator's norm is computed.
     """
     if op.kind == "ahad":
         if kind == "spectral":

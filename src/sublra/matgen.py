@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, PreconditionError
-from .mmio import load_matrix, pad_matrix
 
 PLATEAU = 20      # leading singular values pinned at 1
 FAST_CUTOFF = 100  # fast-decay spectrum is exactly zero beyond this index
@@ -83,14 +82,7 @@ def gen_synthetic(n, spec, seed):
     form a prefix since the spectrum is nonincreasing and nonnegative.  U
     and V are n-by-r with orthonormal columns, drawn Haar (U first, then V)
     from one ``default_rng(seed)``.
-
-    n must be a power of two (>= 128) so the abridged Hadamard multipliers
-    divide it evenly downstream; use ``pad_matrix`` for other sizes.
     """
-    if n < 128 or (n & (n - 1)) != 0:
-        raise PreconditionError(
-            f"n={n} must be a power of two >= 128 "
-            "(pad other sizes with pad_matrix / --pad)")
     if spec.values.shape[0] != n:
         raise DimensionError(
             f"spectrum length {spec.values.shape[0]} != n={n}")
@@ -108,12 +100,3 @@ def gen_delta(m, n, i, j):
     M = np.zeros((m, n))
     M[i - 1, j - 1] = 1.0
     return M
-
-
-def load_input(path, pad=None):
-    """Read a matrix file, optionally zero-padding it to pad-by-pad.
-
-    Both ``load_matrix`` and ``pad_matrix`` return validated float64 arrays.
-    """
-    M = load_matrix(path)
-    return M if pad is None else pad_matrix(M, pad)

@@ -251,14 +251,3 @@ def save_matrix(M, path, fmt="array", comment=""):
             fh.write(("%d %d %.17g\n" * rows.size) % tuple(chain.from_iterable(
                 zip((rows + 1).tolist(), (cols + 1).tolist(),
                     M[rows, cols].tolist()))))
-
-
-def pad_matrix(M, size):
-    """Zero-pad a matrix on the bottom/right up to size-by-size."""
-    M = as_dense(M)
-    m, n = M.shape
-    if size < max(m, n):
-        raise ValueError(f"pad size {size} smaller than matrix {M.shape}")
-    out = np.zeros((size, size))
-    out[:m, :n] = M
-    return out

@@ -8,12 +8,20 @@ being the d-fold Kronecker power of [[1, 1], [1, -1]] (Sylvester order), so
 its entry (i, j) is (-1)^popcount(i & j).  The signs are computed from that
 parity on the sampled rows only; no 2^d-by-2^d table is built.  The operator
 keeps r' uniformly sampled distinct rows of H(d), multiplied on the right by
-a seeded random +-1 diagonal for cheap mixing.  Every row then carries
-exactly 2^d nonzeros of magnitude 2^{-d/2} and the rows stay orthonormal,
-so a left application touches at most r' 2^d rows of the target: the access
-cost is sublinear whenever r' 2^d << m.
+a seeded random +-1 diagonal for cheap mixing.  When 2^d divides n, every
+row then carries exactly 2^d nonzeros of magnitude 2^{-d/2} and the rows stay
+orthonormal, so a left application touches at most r' 2^d rows of the
+target: the access cost is sublinear whenever r' 2^d << m.
 
-The rows of H(d) fall into dim/2^d classes, row % (dim/2^d), and the 2^d rows
+Any other n is padded virtually: the operator is drawn on
+n' = 2^d ceil(n / 2^d) and keeps only its first n columns, so it gives the
+n'-operator's sketch of the target with zero rows appended, and never reads
+past the target.  A cut row keeps those of its 2^d support columns that lie
+below n: at least one, and 2^d or 2^d - 1 whenever n >= 2^d (2^d - 1).  Cut
+rows need not be orthogonal, but the operator, a column subset of one with
+orthonormal rows, still has spectral norm at most 1.
+
+The rows of H(d) fall into n'/2^d classes, row % (n'/2^d), and the 2^d rows
 of one class share one support.  An operator built with a class pool samples
 its rows only from a seeded subset of the classes, so operators that share a
 pool read the same at most pool_size 2^d rows of the target between them,
@@ -41,11 +49,10 @@ class SketchOperator:
     """Test matrix F (side="left", r' x n) or H (side="right", n x r').
 
     ``wide`` is the wide form W, ``sketch_size`` r' by ``dim`` n: F = W and
-    H = W^T.  An abridged W is a CSR array whose row i lists its 2^d
-    support columns in increasing order (``positions``, int64) with their
-    signed values (``values``); a Gaussian W is dense.  ``make_multiplier``
-    builds every operator from its arguments alone, so the same arguments
-    rebuild it.
+    H = W^T.  An abridged W is a CSR array whose row i lists its support
+    columns in increasing order (``positions``) with their signed values
+    (``values``); a Gaussian W is dense.  ``make_multiplier`` builds every
+    operator from its arguments alone, so the same arguments rebuild it.
     """
 
     kind: str
@@ -60,13 +67,22 @@ class SketchOperator:
     def dim(self):
         return self.wide.shape[1]
 
+    def _by_row(self, flat):
+        """Abridged CSR data as r' rows of one length (2^d when uncut);
+        raises where a cut operator's rows differ in length."""
+        if np.ptp(np.diff(self.wide.indptr)):
+            raise ValueError("a cut operator's rows differ in length")
+        return flat.reshape(self.sketch_size, -1)
+
     @property
     def positions(self):
-        return self.wide.indices.astype(np.int64).reshape(self.sketch_size, -1)
+        """int64 support columns of each row, increasing (see _by_row)."""
+        return self._by_row(self.wide.indices.astype(np.int64))
 
     @property
     def values(self):
-        return self.wide.data.reshape(self.sketch_size, -1)
+        """Signed values at ``positions``."""
+        return self._by_row(self.wide.data)
 
     @property
     def shape(self):
@@ -84,10 +100,12 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
 
     kind: "ahad" (abridged Hadamard) or "gaussian".
     sketch_size: r', the short axis.  dim: n, the long axis; for the
-    abridged kind it must be divisible by 2^depth and >= sketch_size.
+    abridged kind it must be >= sketch_size and >= 2^depth; the operator is
+    drawn on padded = 2^depth ceil(dim / 2^depth) and cut to its first dim
+    columns (see the module docstring).
     pool: optional (pool_seed, pool_size) for the abridged kind.  The rows
     are then sampled only from the 2^depth rows of each of pool_size
-    classes, the first pool_size entries of a permutation of all dim/2^depth
+    classes, the first pool_size of a permutation of all padded/2^depth
     classes drawn from pool_seed, so pools of one seed are nested and the
     operator reads at most pool_size 2^depth rows of the target.  The row
     choice and the signs still come from ``seed``.  A pool that covers every
@@ -107,13 +125,13 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     block = 1 << depth
-    if dim % block != 0:
-        raise PreconditionError(
-            f"dim={dim} not divisible by 2^depth={block}")
+    if block > dim:
+        raise PreconditionError(f"2^depth={block} exceeds dim={dim}")
     if sketch_size > dim:
         raise PreconditionError(
             f"sketch_size={sketch_size} exceeds dim={dim}")
-    b = dim // block
+    b = -(-dim // block)
+    padded = b * block
     t = np.arange(block)
     rng = np.random.default_rng(seed)
     if pool is not None and pool[1] < b:
@@ -126,8 +144,8 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
         candidates = (classes[:, None] + b * t[None, :]).ravel()
         rows = rng.choice(candidates, size=sketch_size, replace=False)
     else:
-        rows = rng.choice(dim, size=sketch_size, replace=False)
-    signs = rng.integers(0, 2, size=dim) * 2 - 1
+        rows = rng.choice(padded, size=sketch_size, replace=False)
+    signs = rng.integers(0, 2, size=padded) * 2 - 1
     positions = t[None, :] * b + (rows % b)[:, None]
     # bitwise_count gives uint8, which 1 - 2 * parity would wrap to 255
     parity = np.bitwise_count((rows // b)[:, None] & t).astype(np.int64) & 1
@@ -135,8 +153,10 @@ def make_multiplier(kind, sketch_size, dim, depth=3, seed=0, side="left",
     # row i's entries in increasing column order, the order W @ X adds them
     wide = sparse.csr_array(
         (values.ravel(), positions.ravel(),
-         np.arange(0, positions.size + 1, block)), shape=(sketch_size, dim))
-    return SketchOperator("ahad", side, wide)
+         np.arange(0, positions.size + 1, block)),
+        shape=(sketch_size, padded))
+    return SketchOperator("ahad", side,
+                          wide if padded == dim else wide[:, :dim])
 
 
 def _oriented(W, side, X):

@@ -4,8 +4,9 @@ PASS/FAIL line (run with -s to see them inline).
 The synthetic benchmark rows (criteria 1-3) are computed once per session at
 n=1024, rho=20, depth 3, 20 trials per (input, multiplier) pair; a full run
 of this module takes a few minutes on a laptop.  Criterion 4 accepts a
-user-supplied 1024x1024 Matrix Market file through the environment variable
-SUBLRA_ACCEPTANCE_MATRIX and falls back to a generated stand-in.
+user-supplied Matrix Market file of any shape through the environment
+variable SUBLRA_ACCEPTANCE_MATRIX and falls back to a generated 1024x1024
+stand-in.
 """
 
 import os
@@ -21,8 +22,8 @@ from sublra import (CountingAccessor, Factored2, RefineConfig, audit_refine,
                     topsvd_of_lra, topsvd_of_lra_qrp, truncate_svd)
 from sublra.bench import BenchSpec, property_suite, run_bench, synthetic_input
 from sublra.errest import gaussian_error_estimate
-from sublra.matgen import fast_decay_spectrum, load_input, slow_decay_spectrum
-from sublra.mmio import save_matrix
+from sublra.matgen import fast_decay_spectrum, slow_decay_spectrum
+from sublra.mmio import load_matrix, save_matrix
 
 N = 1024
 RHO = 20
@@ -100,14 +101,14 @@ def test_c03_gaussian_parity(table_rows):
 def test_c04_ingestion_round_trip_and_property_suite(tmp_path):
     path = os.environ.get("SUBLRA_ACCEPTANCE_MATRIX")
     if path:
-        M = load_input(path, pad=N)
+        M = load_matrix(path)
         rho = RHO
     else:
         M = gen_synthetic(N, slow_decay_spectrum(N), seed=777)
         rho = RHO
     saved = tmp_path / "acceptance.mtx"
     save_matrix(M, saved)
-    reloaded = load_input(str(saved))
+    reloaded = load_matrix(str(saved))
     round_trip = np.array_equal(reloaded, M)
     results = property_suite(M, rho, seed=3)
     failures = [(name, detail) for name, ok, detail in results if not ok]

@@ -7,6 +7,7 @@ from sublra import (CountingAccessor, DimensionError, ErrorEstimate,
                     frobenius_confidence_band, gaussian_error_estimate,
                     gen_delta, make_multiplier, matrix_norm, residual_probe,
                     sketch_norm_bounds)
+from sublra import cli
 from sublra.errest import _operator_norm
 from sublra.sketch import apply_left, apply_right
 
@@ -116,6 +117,22 @@ class TestSketchNormBounds:
         for kind in ("spectral", "frobenius"):
             assert _operator_norm(op, kind) == pytest.approx(
                 matrix_norm(op.to_dense(), kind), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["spectral", "frobenius"])
+    def test_cut_operators_keep_the_bound_below_the_norm(self, kind,
+                                                         monkeypatch, capsys):
+        # at n = 300 the right operators are cut from 304 columns, whose
+        # norms 1 and sqrt(r') only bound from above
+        E = np.random.default_rng(10).standard_normal((1000, 300))
+        true = la.svdvals(E)[0] if kind == "spectral" else np.linalg.norm(E)
+        monkeypatch.setattr(cli, "load_matrix", lambda path: E)
+        for seed in range(50):
+            assert cli.main(["estimate", "--input", "E.mtx", "--method",
+                             "sketch", "--norm", kind,
+                             "--seed", str(seed)]) == 0
+            out = capsys.readouterr().out
+            lower = float(out.split("lower_bound=")[1].split()[0])
+            assert 0 < lower <= true
 
     def test_gaussian_operator_norm_is_computed(self):
         op = make_multiplier("gaussian", 8, 64, seed=4)

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sublra import MatrixMarketError, load_matrix, pad_matrix, save_matrix
+from sublra import MatrixMarketError, load_matrix, save_matrix
 from sublra.core import PreconditionError, as_dense
 from sublra.mmio import MAX_ENTRIES, _non_ascii_error, _parse_header
 
@@ -308,16 +308,6 @@ def test_dimension_overflow(tmp_path):
                     "100000 100000 1\n1 1 1.0\n")
     with pytest.raises(MatrixMarketError, match="overflow"):
         load_matrix(path)
-
-
-def test_pad_matrix():
-    M = np.ones((3, 2))
-    P = pad_matrix(M, 5)
-    assert P.shape == (5, 5)
-    assert np.array_equal(P[:3, :2], M)
-    assert P[3:, :].sum() == 0 and P[:, 2:].sum() == 0
-    with pytest.raises(ValueError):
-        pad_matrix(M, 2)
 
 
 finite_matrices = arrays(

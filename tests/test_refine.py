@@ -436,14 +436,14 @@ def test_refine_access_bound_formula():
 
 @st.composite
 def refine_arguments(draw):
-    """Small admissible (m, n, config): m and n are multiples of 2^depth
-    with 4 rho <= min(m, n)."""
+    """Small admissible (m, n, config): 2^depth <= min(m, n) and
+    4 rho <= min(m, n), whether or not 2^depth divides m and n."""
     depth = draw(st.integers(0, 3))
     rho = draw(st.integers(1, 4))
     block = 2 ** depth
-    fewest = -(-4 * rho // block)  # fewest blocks that hold 4 rho
-    m = block * draw(st.integers(fewest, fewest + 4))
-    n = block * draw(st.integers(fewest, fewest + 4))
+    fewest = max(block, 4 * rho)
+    m = draw(st.integers(fewest, fewest + 4 * block))
+    n = draw(st.integers(fewest, fewest + 4 * block))
     config = RefineConfig(rho=rho, max_iters=draw(st.integers(1, 3)),
                           depth=depth, seed=draw(st.integers(0, 2 ** 32)))
     return m, n, config
@@ -463,6 +463,37 @@ def test_refine_invariants_on_small_inputs(arguments, gen_seed):
     again, _ = refine(CountingAccessor(M), config)
     assert again.A.tobytes() == approx.A.tobytes()
     assert again.B.tobytes() == approx.B.tobytes()
+
+
+def decaying_input(m, n, seed):
+    """U diag(0.7^i) V^T with U and V the Q factors of m-by-k and n-by-k
+    Gaussians, k = min(m, n)."""
+    rng = np.random.default_rng(seed)
+    k = min(m, n)
+    U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (U * 0.7 ** np.arange(k)) @ V.T
+
+
+@pytest.mark.parametrize("m, n, rho", [(1023, 1023, 20), (1001, 999, 20),
+                                       (1000, 300, 10)])
+def test_refine_of_any_shape_is_the_zero_padded_run_cut(m, n, rho):
+    # the operators pad virtually to multiples of 2^depth; a run on M
+    # physically zero-padded that far gives the same iterate, cut to M's
+    # shape, and reads the same entries of M
+    M = decaying_input(m, n, seed=m + n)
+    padded = np.zeros((-(-m // 8) * 8, -(-n // 8) * 8))
+    padded[:m, :n] = M
+    for seed in range(3):
+        config = RefineConfig(rho=rho, max_iters=3, depth=3, seed=seed)
+        acc, acc_padded = CountingAccessor(M), CountingAccessor(padded)
+        got = materialize(refine(acc, config)[0])
+        want = materialize(refine(acc_padded, config)[0])
+        assert np.all(want[m:] == 0) and np.all(want[:, n:] == 0)
+        assert (np.abs(got - want[:m, :n]).max()
+                <= 1e-12 * np.abs(want).max())
+        assert acc.distinct_accessed == acc_padded.accessed[:m, :n].sum()
+        assert acc.distinct_accessed < acc_padded.distinct_accessed
 
 
 def test_refine_prefix_with_class_pool():

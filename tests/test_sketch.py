@@ -123,7 +123,7 @@ def test_gaussian_determinism():
 
 def test_construction_preconditions():
     with pytest.raises(PreconditionError):
-        make_multiplier("ahad", 8, 100, depth=3, seed=0)  # 100 % 8 != 0
+        make_multiplier("ahad", 2, 4, depth=3, seed=0)  # 2^3 > 4
     with pytest.raises(PreconditionError):
         make_multiplier("ahad", 300, 256, depth=0, seed=0)
     with pytest.raises(ValueError):
@@ -307,6 +307,58 @@ def test_abridged_operator_invariants(arguments):
                             side=side, pool=pool)
     assert again.positions.tobytes() == op.positions.tobytes()
     assert again.values.tobytes() == op.values.tobytes()
+
+
+@st.composite
+def cut_abridged_arguments(draw):
+    """Admissible abridged arguments at a dim that 2^depth does not divide:
+    (side, sketch_size, dim, padded, depth, seed, pool), padded = 2^depth b
+    for b classes and 2^depth <= dim < padded."""
+    depth = draw(st.integers(1, 4))
+    block = 2 ** depth
+    classes = draw(st.integers(2, 8))
+    dim = (classes - 1) * block + draw(st.integers(1, block - 1))
+    pool_size = draw(st.none() | st.integers(1, classes))
+    most = dim if pool_size is None else min(dim, pool_size * block)
+    size = draw(st.integers(1, most))
+    seeds = st.integers(0, 2 ** 64 - 1)
+    pool = None if pool_size is None else (draw(seeds), pool_size)
+    return (draw(st.sampled_from(["left", "right"])), size, dim,
+            classes * block, depth, draw(seeds), pool)
+
+
+@given(cut_abridged_arguments())
+def test_cut_operator_is_the_padded_operators_first_columns(arguments):
+    side, size, dim, padded, depth, seed, pool = arguments
+    op, full = (make_multiplier("ahad", size, d, depth=depth, seed=seed,
+                                side=side, pool=pool) for d in (dim, padded))
+    assert op.shape == ((size, dim) if side == "left" else (dim, size))
+    W = op.wide.toarray()
+    assert np.array_equal(W, full.wide.toarray()[:, :dim])
+    assert np.linalg.norm(W, 2) <= 1.0 + 1e-12
+    # a cut row loses only support columns in [dim, padded): never its first
+    kept = np.count_nonzero(W, axis=1)
+    assert kept.min() >= 1 and kept.max() <= 2 ** depth
+    if dim >= 2 ** depth * (2 ** depth - 1):
+        assert kept.min() >= 2 ** depth - 1
+    if pool is not None:
+        assert np.unique(op.wide.indices).size <= pool[1] * 2 ** depth
+    again = make_multiplier("ahad", size, dim, depth=depth, seed=seed,
+                            side=side, pool=pool)
+    assert np.array_equal(again.wide.toarray(), W)
+
+
+def test_cut_rows_have_no_fixed_width():
+    # dim 9 at depth 3 pads to 16 columns: class 0 keeps 5 of its 8 support
+    # columns and class 1 keeps 4, and these 9 rows hold both classes
+    op = make_multiplier("ahad", 9, 9, depth=3, seed=0)
+    assert sorted(set(np.diff(op.wide.indptr).tolist())) == [4, 5]
+    for name in ("positions", "values"):
+        with pytest.raises(ValueError, match="cut operator"):
+            getattr(op, name)
+    # a divisible dim is never cut, and keeps 2^d entries a row
+    assert make_multiplier("ahad", 9, 16, depth=3, seed=0).positions.shape \
+        == (9, 8)
 
 
 def reference_oriented(op, X, positions=None):
