@@ -284,8 +284,9 @@ ORTHONORMALITY_TOL = 1e-12
 class TopSVD:
     """Leading singular triplet block U diag(sigma) V^T.
 
-    U and V have orthonormal columns (checked to 1e-12 per entry) and sigma
-    is nonincreasing and nonnegative.
+    U, sigma and V are finite, U and V have orthonormal columns (checked to
+    1e-12 per entry) and sigma is nonincreasing and nonnegative.  Rank 0
+    (``zero``) is allowed.
     """
 
     U: np.ndarray
@@ -301,13 +302,21 @@ class TopSVD:
             raise DimensionError("sigma must be a vector")
         if self.U.shape[1] != rho or self.V.shape[1] != rho:
             raise DimensionError("U, V column counts must match len(sigma)")
+        for name, X in (("U", self.U), ("sigma", self.sigma), ("V", self.V)):
+            if not np.isfinite(X).all():
+                raise PreconditionError(f"{name} has non-finite entries")
         for name, Q in (("U", self.U), ("V", self.V)):
-            dev = np.abs(Q.T @ Q - np.eye(rho)).max()
-            if dev > ORTHONORMALITY_TOL:
+            dev = np.abs(Q.T @ Q - np.eye(rho)).max(initial=0.0)
+            if not dev <= ORTHONORMALITY_TOL:
                 raise PreconditionError(
                     f"{name} columns not orthonormal (max deviation {dev:.2e})")
         if np.any(self.sigma < 0) or np.any(np.diff(self.sigma) > 0):
             raise PreconditionError("sigma must be nonincreasing and nonnegative")
+
+    @classmethod
+    def zero(cls, m, n):
+        """Rank-0 TopSVD of the m-by-n zero matrix."""
+        return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
 
     @property
     def shape(self):

@@ -3,12 +3,12 @@
 Refinement reads the input matrix only through sketches.  One step of
 classical iterative refinement, ``_step``, takes multipliers F (2r x m) and
 H (n x r), forms the residual sketches F E = F M - F Mtilde and
-E H = M H - Mtilde H, fits a rank-r correction from the sketches alone and
-adds it to the running approximation Mtilde; it is the only code that reads
-M.  The driver, ``refine``, draws new F and H for every step, checks that
-nothing read M after it, evaluates the sum, truncates it back to the target
-rank and records the iteration.  The rank-r fit (a thin QR, the SVD of
-its r-by-r R and a thin SVD) is:
+E H = M H - Mtilde H and fits a rank-r correction of the running
+approximation Mtilde from the sketches alone; it is the only code that
+reads M.  The driver, ``refine``, draws new F and H for every step, checks
+that nothing read M after it, truncates Mtilde plus the correction back to
+the target rank, evaluates the result and records the iteration.  The
+rank-r fit (a thin QR, the SVD of its r-by-r R and a thin SVD) is:
 
     Q, R <- thin QR of E H;  U_R, s_R <- SVD of R
     Q  <- Q U_R[:, s_R > 1e-14 s_R[0]]   (only if that drops a column)
@@ -26,15 +26,15 @@ iteration runs at r = rank + rho: r = rho first, then r = 2 rho, since
 every iterate is truncated back to rank rho.  A run takes exactly
 ``max_iters`` iterations.
 
-After every iteration, iteration 0 included, the iterate is a TopSVD
-U diag(sigma) V^T with U and V orthonormal.  Each iteration truncates its
-sum by an SVD update of the iterate by the correction
-(``topsvd.recompress`` with ``right=iterate``; iteration 0 updates the
-rank-0 iterate it starts from), which factors only the parts of Q and
-C^T outside span(U) and span(V), not the whole sum; only a result that is
-not orthonormal is recomputed from the whole sum by Householder QRs
-(``topsvd.topsvd_of_lra``).  The step sketches the iterate from its
-TopSVD factors, and the driver frees the sum once it is truncated.
+The iterate is a TopSVD U diag(sigma) V^T with U and V orthonormal,
+of rank 0 before iteration 0.  Each iteration truncates the iterate plus
+its correction by an SVD update of the iterate by the correction
+(``topsvd.recompress(correction, rho, iterate)``), which factors only the
+parts of Q and C^T outside span(U) and span(V), never the sum; only a
+result that is not orthonormal is recomputed from the concatenated sum by
+Householder QRs (``topsvd.topsvd_of_lra``).  The step sketches the
+iterate from its TopSVD factors.  The driver concatenates the sum
+(``core.lra_sum``) only for an evaluator that scores it.
 
 Abridged multipliers draw their rows and signs anew every iteration, but
 only from one class pool per run (see ``sketch.make_multiplier``): 2 r_max
@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (CountingAccessor, DimensionError, Factored2,
-                   PreconditionError, lra_sum, thin_qr)
+                   PreconditionError, TopSVD, lra_sum, thin_qr)
 from .sketch import (apply_dense, apply_left, apply_right, apply_to_factored,
                      make_multiplier)
 from .topsvd import recompress
@@ -223,12 +223,12 @@ def _run_seeds(master_seed, max_iters):
 
 
 def _step(M, approx, F, H):
-    """One step of classical refinement: approx (a Factored2 or a TopSVD)
-    plus a rank-r correction of its residual E = M - approx, fitted from
+    """One step of classical refinement: the rank-r correction of approx
+    (a Factored2 or a TopSVD) by its residual E = M - approx, fitted from
     the sketches F E and E H, which are the only reads of M."""
     FE = apply_left(F, M) - apply_to_factored(F, approx)
     EH = apply_right(M, H) - apply_to_factored(H, approx)
-    return lra_sum(approx, sketch_rank_r_approx(FE, EH, F))
+    return sketch_rank_r_approx(FE, EH, F)
 
 
 def refine(M, config, evaluator=None):
@@ -237,9 +237,11 @@ def refine(M, config, evaluator=None):
     M is a CountingAccessor; all raw reads happen inside ``_step``, and the
     driver checks in every iteration that nothing reads M after it.
     ``evaluator``, when given, is called with each sum that is truncated,
-    before its truncation, and with each iterate's ``to_factored2()``, to
-    fill the report's error ratios; it must not read through the accessor,
-    and a read raises RuntimeError.
+    the iterate plus the correction as ``core.lra_sum`` concatenates them,
+    and with each new iterate's ``to_factored2()``, to fill the report's
+    error ratios.  It scores a sum after that sum's truncation has been
+    computed, so the previous iterate is not held through the call.  It
+    must not read through the accessor, and a read raises RuntimeError.
 
     Runs exactly ``config.max_iters`` iterations and returns
     (approximation, report); the approximation is the last iterate's
@@ -250,7 +252,7 @@ def refine(M, config, evaluator=None):
     config.validate_for(M.shape)
     m, n = M.shape
     t0 = time.perf_counter()
-    iterate = Factored2.zero(m, n)
+    iterate = TopSVD.zero(m, n)
     report = RefinementReport(config=config)
     seeds, (pool_f, pool_h) = _run_seeds(config.seed, config.max_iters)
     r_max = 2 * config.rho
@@ -261,19 +263,19 @@ def refine(M, config, evaluator=None):
                             seed=seed_f, side="left", pool=(pool_f, 2 * r_max))
         H = make_multiplier(config.multiplier, r, n, depth=config.depth,
                             seed=seed_h, side="right", pool=(pool_h, r_max))
-        updated = _step(M, iterate, F, H)
+        correction = _step(M, iterate, F, H)
         reads_after_step = M.total_reads
-        rank_before = updated.rank_bound
+        rank_before = iterate.rank_bound + correction.rank_bound
         # a sum of rank at most rho (iteration 0's) is refactored, not
         # truncated, so the evaluator scores it once, after
         truncates = rank_before > config.rho
-        ratio_before = (float(evaluator(updated))
-                        if evaluator is not None and truncates else None)
-        # the sum's leading columns are the iterate's U
-        iterate = recompress(updated, min(config.rho, rank_before),
-                             right=None if i == 0 else iterate)
-        # free the sum before the evaluator and the next step run
-        del updated
+        summed = (lra_sum(iterate, correction)
+                  if evaluator is not None and truncates else None)
+        iterate = recompress(correction, min(config.rho, rank_before),
+                             iterate)
+        del correction
+        ratio_before = None if summed is None else float(evaluator(summed))
+        del summed
         ratio_after = (None if evaluator is None
                        else float(evaluator(iterate.to_factored2())))
         if not truncates:

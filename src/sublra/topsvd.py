@@ -2,15 +2,15 @@
 
 ``topsvd_of_lra`` is exact: thin QR factorizations of both factors reduce
 A @ B to a k-by-k core, whose SVD is composed with the two orthonormal
-bases.  ``recompress`` truncates a factored form to rank rho by one path,
-an SVD update (Brand, "Fast low-rank modifications of the thin singular
-value decomposition", LAA 415, 2006): the form is an iterate
-U diag(sigma) V^T, a TopSVD, plus a correction Q C (the refinement
-driver's sums; without an iterate, k = 0 and the whole form is the
-correction), block Gram-Schmidt splits Q against U and C^T against V,
-and only the parts outside span(U) and span(V) are factored by thin QRs,
-a few columns at a time, where ``topsvd_of_lra`` factors all k + r
-columns of each factor at once.  A result that is not orthonormal falls back to ``topsvd_of_lra``.
+bases.  ``recompress`` takes the top rho triplets of an iterate
+U diag(sigma) V^T, a rank-k TopSVD, plus a correction Q C by one path, an
+SVD update (Brand, "Fast low-rank modifications of the thin singular
+value decomposition", LAA 415, 2006): block Gram-Schmidt splits Q against
+U and C^T against V, and only the parts outside span(U) and span(V) are
+factored by thin QRs, a few columns at a time, where ``topsvd_of_lra``
+factors all k + r columns of the sum's factors at once.  Without an
+iterate, k = 0 and the correction is the whole form.  A result that is
+not orthonormal falls back to ``topsvd_of_lra`` of the sum.
 ``topsvd_of_lra_qrp`` uses pivoted QR factorizations instead and truncates
 the core to rho-by-rho before its SVD, permuting the triangular factors by
 indexing with the pivot order, not by permutation matrices.  It is an
@@ -33,16 +33,16 @@ import warnings
 import numpy as np
 import scipy.linalg as la
 
-from .core import DimensionError, PreconditionError, TopSVD, thin_qr
+from .core import DimensionError, PreconditionError, TopSVD, lra_sum, thin_qr
 
 
 class QRPFallbackWarning(UserWarning):
     """The pivoted path hit a singular core and fell back to the exact path."""
 
 
-def _check_ranks(L, rho):
-    m, n = L.shape
-    k = L.rank_bound
+def _check_ranks(shape, k, rho):
+    """A truncation to rho of an m-by-n form of rank bound k."""
+    m, n = shape
     if not 1 <= rho <= k:
         raise DimensionError(f"rho={rho} out of range for rank bound {k}")
     if k > min(m, n):
@@ -80,7 +80,7 @@ def topsvd_of_lra(L, rho):
     the leading rho.  A factor with an inf or NaN entry raises
     PreconditionError.
     """
-    _check_ranks(L, rho)
+    _check_ranks(L.shape, L.rank_bound, rho)
     _check_finite(L)
     Qa, Ra = thin_qr(L.A)
     Qb, Rb = thin_qr(L.B.T)
@@ -103,7 +103,7 @@ def topsvd_of_lra_qrp(L, rho):
     exact path.  A factor with an inf or NaN entry raises
     PreconditionError.
     """
-    _check_ranks(L, rho)
+    _check_ranks(L.shape, L.rank_bound, rho)
     _check_finite(L)
     Q, R, piva = la.qr(L.A, mode="economic", pivoting=True)
     Qb, Lt, pivb = la.qr(L.B.T, mode="economic", pivoting=True)
@@ -169,24 +169,21 @@ def _split(B, X):
     return basis, coef
 
 
-def recompress(L, rho, right=None):
-    """Truncate a factored form back to rank rho exactly: the top-rho SVD
-    of L = [U, Q] [diag(sigma) V^T; C] by updating the SVD of the iterate
-    U diag(sigma) V^T.
+def recompress(L, rho, iterate=None):
+    """Top-rho SVD of iterate + L, where L = Q C is a correction to the
+    rank-k TopSVD ``iterate`` U diag(sigma) V^T, by updating the
+    iterate's SVD.  Without ``iterate``, k = 0 and the result is the
+    top-rho SVD of L.
 
     The error obeys the triangle-inequality growth bounds
     ||M - (AB)_rho|| <= ||M - AB|| + tau_rho(AB)
-    and ||M - (AB)_rho|| <= 2 ||M - AB|| + tau_rho(M).
+    and ||M - (AB)_rho|| <= 2 ||M - AB|| + tau_rho(M),
+    with AB = iterate + L.
 
-    ``right``, a TopSVD of rank k, is the iterate that L extends (the
-    refinement driver's sums): U = L.A[:, :k] is its U, V and sigma are
-    read from ``right``, Q = L.A[:, k:] and C = L.B[k:] are the
-    correction; L.B[:k], which holds sigma V^T, is not read.  Without
-    ``right`` L is a correction to the rank-0 iterate: k = 0.  With
-    Q = [U, Q1] [P; R1] and C^T = [V, Q2] [G; R2] from ``_split``,
+    With Q = [U, Q1] [P; R1] and C^T = [V, Q2] [G; R2] from ``_split``,
 
-        L = [U, Q1] ([[diag(sigma), 0], [0, 0]] + [P; R1] [G; R2]^T)
-            [V, Q2]^T,
+        iterate + L = [U, Q1] ([[diag(sigma), 0], [0, 0]]
+                               + [P; R1] [G; R2]^T) [V, Q2]^T,
 
     and the SVD of that (k + r)-by-(k + r) core, composed with the two
     bases, gives the triplets as a TopSVD, the iterate that the next
@@ -196,28 +193,28 @@ def recompress(L, rho, right=None):
     they carry rounding-level weight in the core, so the result is still
     orthonormal unless the sum has rank below rho and a zero singular
     direction picks them up.  TopSVD checks the result, and a result it
-    rejects is recomputed by ``topsvd_of_lra``; that also resets the
-    rounding drift from orthonormality that updates of updates accumulate.
+    rejects is recomputed by ``topsvd_of_lra`` of the sum; that also
+    resets the rounding drift from orthonormality that updates of updates
+    accumulate.  Only L is checked for finiteness here: a TopSVD is
+    finite by construction.
     """
-    _check_ranks(L, rho)
+    if iterate is None:
+        iterate = TopSVD.zero(*L.shape)
+    if iterate.shape != L.shape:
+        raise DimensionError(
+            f"iterate of shape {iterate.shape} does not fit a correction "
+            f"of shape {L.shape}")
+    k = iterate.rank_bound
+    _check_ranks(L.shape, k + L.rank_bound, rho)
     _check_finite(L)
-    if right is None:
-        sigma, V = np.zeros(0), np.zeros((L.shape[1], 0))
-    else:
-        sigma, V = right.sigma, right.V
-        if right.shape != L.shape or right.rank_bound > L.rank_bound:
-            raise DimensionError(
-                f"iterate of shape {right.shape} and rank {right.rank_bound} "
-                f"does not fit a sum of shape {L.shape} and rank bound "
-                f"{L.rank_bound}")
-    k = sigma.size
-    left_basis, left_coef = _split(L.A[:, :k], L.A[:, k:])
-    right_basis, right_coef = _split(V, L.B[k:].T)
+    left_basis, left_coef = _split(iterate.U, L.A)
+    right_basis, right_coef = _split(iterate.V, L.B.T)
     core = left_coef @ right_coef.T
-    core[:k, :k] += np.diag(sigma)
+    core[:k, :k] += np.diag(iterate.sigma)
     Uc, s, Vct = _svd(core)
+    # a copy of sigma, so the iterate does not pin all k + r values of s
     try:
-        return TopSVD(left_basis @ Uc[:, :rho], s[:rho],
+        return TopSVD(left_basis @ Uc[:, :rho], s[:rho].copy(),
                       right_basis @ Vct[:rho].T)
     except PreconditionError:
-        return topsvd_of_lra(L, rho)
+        return topsvd_of_lra(lra_sum(iterate, L), rho)

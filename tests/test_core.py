@@ -107,6 +107,26 @@ def test_topsvd_invariants_enforced():
         TopSVD(Q, np.array([1.0, 0.5, 0.2]), Q)
 
 
+@pytest.mark.parametrize("bad", ["U", "sigma", "V"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_topsvd_rejects_non_finite_entries(bad, value):
+    # a NaN in U or V makes the orthonormality deviation NaN, and sigma's
+    # own checks pass a NaN or an inf
+    e1 = np.zeros((3, 1))
+    e1[0, 0] = 1.0
+    parts = {"U": e1.copy(), "sigma": np.array([1.0]), "V": e1.copy()}
+    parts[bad][0] = value
+    with pytest.raises(PreconditionError, match=f"{bad} has non-finite"):
+        TopSVD(parts["U"], parts["sigma"], parts["V"])
+
+
+def test_topsvd_of_rank_zero():
+    S = TopSVD.zero(5, 3)
+    assert S.shape == (5, 3) and S.rank_bound == 0
+    assert np.array_equal(materialize(S), np.zeros((5, 3)))
+    assert np.array_equal(materialize(S.to_factored2()), np.zeros((5, 3)))
+
+
 def test_lra_sum_cancellation_and_identity():
     rng = np.random.default_rng(5)
     L = Factored2(rng.standard_normal((6, 2)), rng.standard_normal((2, 8)))

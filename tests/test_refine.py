@@ -18,7 +18,7 @@ from sublra import (CountingAccessor, DimensionError, Factored2,
                     PreconditionError, RatioOracle, RefineConfig, TopSVD,
                     materialize, recompress, refine, sketch_rank_r_approx,
                     make_multiplier)
-from sublra.core import thin_qr
+from sublra.core import lra_sum, thin_qr
 from sublra.matgen import fast_decay_spectrum, gen_synthetic
 from sublra.refine import RankDeficientSketchWarning, _step
 from sublra.sketch import apply_dense
@@ -52,9 +52,10 @@ def test_step_recovers_low_rank_residual(kind):
     M = materialize(approx) + rank_r_matrix(m, n, r, seed=68)
     F = make_multiplier(kind, 2 * r, m, depth=3, seed=69)
     H = make_multiplier(kind, r, n, depth=3, seed=70, side="right")
-    updated = _step(CountingAccessor(M), approx, F, H)
-    assert updated.rank_bound == 7 + r
-    assert np.linalg.norm(materialize(updated) - M) <= 1e-9 * np.linalg.norm(M)
+    correction = _step(CountingAccessor(M), approx, F, H)
+    assert correction.rank_bound == r
+    updated = materialize(approx) + materialize(correction)
+    assert np.linalg.norm(updated - M) <= 1e-9 * np.linalg.norm(M)
 
 
 def reference_fit(FE, EH, F):
@@ -213,13 +214,51 @@ def test_every_iteration_recompresses_once(max_iters):
                RefineConfig(rho=8, max_iters=max_iters, seed=11),
                evaluator=evaluator)
     assert update.call_count == max_iters
-    rights = [call.kwargs["right"] for call in update.call_args_list]
-    assert rights[0] is None
-    assert all(isinstance(right, TopSVD) for right in rights[1:])
+    # each call updates a TopSVD iterate, the rank-0 one first
+    iterates = [call.args[2] for call in update.call_args_list]
+    assert all(isinstance(iterate, TopSVD) for iterate in iterates)
+    assert [iterate.rank_bound for iterate in iterates] \
+        == [0] + [8] * (max_iters - 1)
     # iteration 0's sum is only refactored, so it is scored once; every
     # later sum is scored before and after its truncation.  One more oracle
     # call per run would cost the bench table about a fifth of its time.
     assert len(seen) == 2 * max_iters - 1
+
+
+def test_evaluator_free_refine_forms_no_sum():
+    driver_module = importlib.import_module("sublra.refine")
+    topsvd_module = importlib.import_module("sublra.topsvd")
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=45)
+    with mock.patch.object(driver_module, "lra_sum") as in_driver, \
+            mock.patch.object(topsvd_module, "lra_sum") as in_fallback:
+        refine(CountingAccessor(M), RefineConfig(rho=8, seed=11))
+    assert not in_driver.called and not in_fallback.called
+
+
+def test_evaluator_scores_the_iterate_plus_the_correction():
+    # the pre-truncation sum is lra_sum(previous iterate, correction), bit
+    # for bit, although the update that truncates it has run by then
+    driver_module = importlib.import_module("sublra.refine")
+    M = gen_synthetic(128, fast_decay_spectrum(128), seed=45)
+    seen = []
+
+    def evaluator(L):
+        seen.append(L)
+        return 0.0
+
+    with mock.patch.object(driver_module, "recompress",
+                           wraps=driver_module.recompress) as update:
+        refine(CountingAccessor(M), RefineConfig(rho=8, seed=11),
+               evaluator=evaluator)
+    # iteration 0 is scored once, after; later ones before and after
+    scored_sums = seen[1::2]
+    later_calls = update.call_args_list[1:]
+    assert len(scored_sums) == len(later_calls) == 2
+    for got, call in zip(scored_sums, later_calls):
+        correction, _, iterate = call.args
+        want = lra_sum(iterate, correction)
+        assert np.array_equal(got.A, want.A)
+        assert np.array_equal(got.B, want.B)
 
 
 def test_refine_determinism():
@@ -274,8 +313,10 @@ def test_perfbench_traced_mode_patches_refine():
     original = driver_module.sketch_rank_r_approx
     M = rank_r_matrix(32, 32, 4, seed=65)
     with tracing.Patches(recorder):
+        # only a run with an evaluator concatenates a sum (refine.lra_sum)
         driver_module.refine(CountingAccessor(M),
-                             RefineConfig(rho=2, max_iters=2))
+                             RefineConfig(rho=2, max_iters=2),
+                             evaluator=lambda L: 0.0)
     assert driver_module.sketch_rank_r_approx is original
     names = {s[0] for s in recorder.spans}
     assert {"refine.driver", "refine.fit", "refine.lra_sum",
@@ -398,9 +439,10 @@ def test_refine_iterates_do_not_depend_on_blas_threads():
 
 
 def test_refine_frees_the_pre_truncation_sum_before_the_next_step():
-    # at n=1024, rho=20 each pre-truncation sum of rank 3 rho takes about
-    # 1 MB; held through the next step's gathers, it raises the peak of a
-    # third iteration over that of the first two by most of that, while
+    # at n=1024, rho=20 a pre-truncation sum of rank 3 rho would take
+    # about 1 MB; a sum, or its correction and previous iterate, held
+    # through the next step's gathers would raise the peak of a third
+    # iteration over that of the first two by most of that, while
     # iterations 1 and 2 gather the same pooled rows and columns
     n, rho = 1024, 20
     rng = np.random.default_rng(n)

@@ -272,10 +272,9 @@ def _piece(draw, rng, B, width, label):
 
 
 @st.composite
-def refine_sums(draw):
-    """A sum of recompress's update form, L = [U, Q] [diag(sigma) V^T; C]
-    with the iterate U diag(sigma) V^T a TopSVD, and the rho to truncate
-    it to.
+def refine_updates(draw):
+    """An iterate U diag(sigma) V^T, a TopSVD, a correction Q C to it,
+    and the rho to truncate their sum to.
 
     sigma has some zero values; Q and C^T are ``_piece`` blocks against U
     and V; sigma, Q and C each carry a scale 10^e, e in [-150, 150].
@@ -297,38 +296,61 @@ def refine_sums(draw):
     Ct, c_degenerate = _piece(draw, rng, V, r, "C kind")
     sigma, Q, Ct = (X * 10.0 ** rng.uniform(-150, 150)
                     for X in (sigma, Q, Ct))
-    iterate = TopSVD(U, sigma, V)
-    L = lra_sum(iterate, Factored2(Q, Ct.T))
-    return L, iterate, rho, q_degenerate or c_degenerate
+    return (TopSVD(U, sigma, V), Factored2(Q, Ct.T), rho,
+            q_degenerate or c_degenerate)
 
 
-@given(refine_sums())
+@given(refine_updates())
 def test_update_matches_the_general_path(case):
-    L, iterate, rho, degenerate = case
+    iterate, correction, rho, degenerate = case
     with mock.patch.object(topsvd, "topsvd_of_lra",
                            wraps=topsvd.topsvd_of_lra) as general:
-        got = recompress(L, rho, right=iterate)
+        got = recompress(correction, rho, iterate)
     # the update itself serves every sum without an exact dependence
     assert degenerate or not general.called
     assert isinstance(got, TopSVD) and got.rank_bound == rho
-    want = topsvd_of_lra(L, rho)
+    want = topsvd_of_lra(lra_sum(iterate, correction), rho)
     assert np.abs(got.sigma - want.sigma).max() <= 1e-12 * want.sigma[0]
     for X in (got.U, got.V):
         assert np.abs(X.T @ X - np.eye(rho)).max() <= 1e-12
 
 
-def test_update_rejects_right_factors_of_another_shape():
+def test_update_rejects_an_iterate_of_another_shape():
     rng = np.random.default_rng(48)
     U = thin_qr(rng.standard_normal((30, 3)))[0]
     V = thin_qr(rng.standard_normal((20, 3)))[0]
+    correction = Factored2(rng.standard_normal((30, 4)),
+                           rng.standard_normal((4, 20)))
+    with pytest.raises(DimensionError, match="iterate"):
+        recompress(correction, 3, TopSVD(U, np.ones(3), thin_qr(V[:19])[0]))
+    with pytest.raises(DimensionError, match="iterate"):
+        recompress(correction, 3, TopSVD(thin_qr(U[:29])[0], np.ones(3), V))
+    # rho may reach k + r = 7, no further
     iterate = TopSVD(U, np.ones(3), V)
-    L = lra_sum(iterate, Factored2(rng.standard_normal((30, 4)),
-                                   rng.standard_normal((4, 20))))
-    with pytest.raises(DimensionError, match="iterate"):
-        recompress(L, 3, right=TopSVD(U, np.ones(3), thin_qr(V[:19])[0]))
-    with pytest.raises(DimensionError, match="iterate"):
-        recompress(L, 3, right=TopSVD(thin_qr(U[:29])[0], np.ones(3), V))
-    wide_U = thin_qr(rng.standard_normal((30, 8)))[0]
-    wide_V = thin_qr(rng.standard_normal((20, 8)))[0]
-    with pytest.raises(DimensionError, match="iterate"):
-        recompress(L, 3, right=TopSVD(wide_U, np.ones(8), wide_V))
+    assert recompress(correction, 7, iterate).rank_bound == 7
+    with pytest.raises(DimensionError, match="rank bound 7"):
+        recompress(correction, 8, iterate)
+
+
+def test_fallback_truncates_the_sum():
+    # a result that TopSVD rejects is recomputed from iterate + L
+    rng = np.random.default_rng(49)
+    U = thin_qr(rng.standard_normal((30, 3)))[0]
+    V = thin_qr(rng.standard_normal((20, 3)))[0]
+    iterate = TopSVD(U, np.array([3.0, 2.0, 1.0]), V)
+    correction = Factored2(rng.standard_normal((30, 4)),
+                           rng.standard_normal((4, 20)))
+    real = topsvd.TopSVD
+    calls = []
+
+    def reject_the_update(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PreconditionError("not orthonormal")
+        return real(*args)
+
+    with mock.patch.object(topsvd, "TopSVD", side_effect=reject_the_update):
+        got = recompress(correction, 5, iterate)
+    want = topsvd_of_lra(lra_sum(iterate, correction), 5)
+    assert np.array_equal(got.sigma, want.sigma)
+    assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
