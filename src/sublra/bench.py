@@ -6,13 +6,14 @@ averages the per-iteration error ratios before and after truncation.  Ratios
 come from one ``core.RatioOracle`` per input (re-exported here): its
 denominator sigma_{rho+1} is the last of the input's rho + 1 largest
 singular values, found once by ``core.top_singular_values``'s block
-Rayleigh-Ritz, and each numerator ||M - L||_2 is the top singular value of
-the dense difference, found by ``core.spectral_norm``'s Golub-Kahan-Lanczos;
-neither takes a full SVD.  Both run on numpy's BLAS, like the refinement,
-so ``run_bench`` calls no scipy BLAS.  That oracle work reads the raw matrix
-directly and is excluded from the access counters, which only ever see the
-sketch applications.  Every input's rho is checked against its shape before
-any oracle is built.
+Rayleigh-Ritz, and each numerator ||M - L||_2 is found by
+``core.spectral_norm``'s Golub-Kahan-Lanczos on the products
+M x - A (B x) and M^T y - B^T (A^T y) of the factored iterate L = A B,
+never forming the dense difference; neither takes a full SVD.  Both run on
+numpy's BLAS, like the refinement, so ``run_bench`` calls no scipy BLAS.
+That oracle work reads the raw matrix directly and is excluded from the
+access counters, which only ever see the sketch applications.  Every
+input's rho is checked against its shape before any oracle is built.
 
 ``audit_pipeline`` demonstrates the structural limit of superfast
 approximation: any pipeline that skips an entry (i, j) returns identical

@@ -20,9 +20,12 @@ products on numpy's BLAS rather than by LAPACK's level-2 ``dorgqr``.
 ``spectral_norm`` is a Golub-Kahan-Lanczos bidiagonalization written in
 numpy, and ``RatioOracle`` takes its denominator sigma_{rho+1} from the top
 rho + 1 singular values by ``top_singular_values``, a block Rayleigh-Ritz
-in numpy, not from a full SVD of the input.  So the error-ratio oracle runs
-on the same OpenBLAS thread pool as the refinement; only ``truncate_svd``
-calls scipy.
+in numpy, not from a full SVD of the input.  Its numerator ||M - A B||_2
+for a factored approximation runs the same Lanczos loop on the products
+M x - A (B x) and M^T y - B^T (A^T y), so scoring an iterate forms neither
+A B nor the m-by-n difference.  The whole error-ratio oracle runs on the
+same OpenBLAS thread pool as the refinement; only ``truncate_svd`` calls
+scipy.
 """
 
 from dataclasses import dataclass
@@ -413,6 +416,40 @@ def _scale_safe(x, f=np.linalg.norm):
         return np.ldexp(f(np.ldexp(x, -exponent)), exponent)
 
 
+class _Difference:
+    """M - A B as an operator for ``spectral_norm``: products with it and
+    its transpose go through the factors, M x - A (B x), so the m-by-n
+    difference is never formed."""
+
+    def __init__(self, M, A, B):
+        self.M, self.A, self.B = M, A, B
+
+    @property
+    def shape(self):
+        return self.M.shape
+
+    @property
+    def T(self):
+        return _Difference(self.M.T, self.B.T, self.A.T)
+
+    def __matmul__(self, x):
+        y = self.M @ x
+        y -= self.A @ (self.B @ x)
+        return y
+
+    def any(self):
+        """Whether an entry is nonzero.  This forms the difference; only a
+        first-step Lanczos breakdown asks."""
+        return (self.M - self.A @ self.B).any()
+
+
+def _all_finite(D):
+    """Whether every entry of a dense D, or of each operand of a
+    ``_Difference`` D, is finite."""
+    operands = (D.M, D.A, D.B) if isinstance(D, _Difference) else (D,)
+    return all(np.isfinite(X).all() for X in operands)
+
+
 def spectral_norm(D):
     """Largest singular value of a dense matrix, by Golub-Kahan-Lanczos.
 
@@ -437,10 +474,14 @@ def spectral_norm(D):
     ulps from the 2-norm of D scaled by 2^1100, and 3-7 at 1e-300.  Raises
     ``numpy.linalg.LinAlgError`` for an inf or a NaN entry, for a first-step
     breakdown on a nonzero D (the start vector lies in its null space), or
-    when the test still fails after LANCZOS_MAX_RESTARTS restarts.
+    when the test still fails after LANCZOS_MAX_RESTARTS restarts.  The
+    loop reads D only through ``shape``, ``.T`` and ``@``, so
+    ``RatioOracle`` passes a ``_Difference`` in its place; those two rare
+    cases ask it whether its operands are finite and whether it is zero.
     """
     if D.shape[0] < D.shape[1]:
         D = D.T
+    Dt = D.T
     m, n = D.shape
     k = min(LANCZOS_BASIS, n)
     U = np.empty((k, m))
@@ -460,7 +501,7 @@ def spectral_norm(D):
             _orthogonalize(u, U[:j])
             B[j, j] = _scale_safe(u)
             if not np.isfinite(B[j, j]):
-                if not np.isfinite(D).all():
+                if not _all_finite(D):
                     raise np.linalg.LinAlgError("Lanczos values are not finite")
                 return np.inf
             if B[j, j] == 0.0:
@@ -473,7 +514,7 @@ def spectral_norm(D):
                 # pair, whose top singular value is that of B[:j, :j + 1]
                 return float(np.linalg.norm(B[:j, :j + 1], 2))
             U[j] = u / B[j, j]
-            w = D.T @ U[j]
+            w = Dt @ U[j]
             w -= B[j, j] * V[j]
             _orthogonalize(w, V[:j + 1])
             B[j, j + 1] = _scale_safe(w)
@@ -573,15 +614,20 @@ class RatioOracle:
     The denominator sigma_{rho+1}(M) is the last of M's rho + 1 largest
     singular values, found by ``top_singular_values``'s block Rayleigh-Ritz
     when the oracle is built; ``sigma`` holds those leading values, not the
-    whole spectrum.  Each call forms the dense difference
-    M - L once and takes its top singular value by ``spectral_norm``'s
-    Golub-Kahan-Lanczos, which agrees with a full SVD of the difference to
-    rounding.  All of it runs on numpy's BLAS, the pool refine uses, so an
-    oracle call between refine iterations leaves no other pool spinning.
-    When M has numerical rank <= rho (sigma_{rho+1} < DEGENERATE_GAP
-    sigma_1) the ratio is undefined: ``degenerate`` is True and calls return
-    the absolute spectral error.  Calls read the raw matrix, never an
-    accessor.
+    whole spectrum.  Each call takes ||M - L||_2 by ``spectral_norm``'s
+    Golub-Kahan-Lanczos.  For a factored L = A B (a ``TopSVD`` enters as
+    its ``to_factored2()``) the loop runs on the products M x - A (B x) and
+    M^T y - B^T (A^T y) of a ``_Difference``, so a call allocates
+    O((m + n) k) beyond M, never an m-by-n array.  Those products are
+    rounded to a few eps (||M||_2 + ||L||_2), as the entries of a formed
+    difference would be, so the value agrees with a full SVD of the exact
+    difference to that much.  A dense ``approx`` is subtracted from M.  All
+    of it runs on numpy's BLAS, the pool refine uses, so an oracle call
+    between refine iterations leaves no other pool spinning.  When M has
+    numerical rank <= rho (sigma_{rho+1} <= DEGENERATE_GAP sigma_1, which
+    holds for M = 0) the ratio is undefined: ``degenerate`` is True and
+    calls return the absolute spectral error.  Calls read the raw matrix,
+    never an accessor.
     """
 
     def __init__(self, M, rho):
@@ -592,20 +638,22 @@ class RatioOracle:
         self.rho = rho
         self.sigma = top_singular_values(M, rho + 1)
         self.tau = float(self.sigma[rho]) if rho < min(M.shape) else 0.0
-        self.degenerate = self.tau < DEGENERATE_GAP * float(self.sigma[0])
+        self.degenerate = self.tau <= DEGENERATE_GAP * float(self.sigma[0])
 
     def __call__(self, approx):
-        """Ratio for ``approx`` (dense or any factored form).  A factored
-        form's fresh product takes the difference in place; a dense
-        ``approx`` is left as it is."""
-        At = materialize(approx)
-        if At.shape != self.M.shape:
+        """Ratio for ``approx`` (dense or any factored form), which is left
+        as it is."""
+        if isinstance(approx, TopSVD):
+            approx = approx.to_factored2()
+        if not isinstance(approx, Factored2):
+            approx = as_dense(approx)
+        if approx.shape != self.M.shape:
             raise DimensionError(
-                f"approx shape {At.shape} != input shape {self.M.shape}")
-        if isinstance(approx, (Factored2, TopSVD)):
-            D = np.subtract(self.M, At, out=At)
+                f"approx shape {approx.shape} != input shape {self.M.shape}")
+        if isinstance(approx, Factored2):
+            D = _Difference(self.M, approx.A, approx.B)
         else:
-            D = self.M - At
+            D = self.M - approx
         err = spectral_norm(D)
         return err if self.degenerate else err / self.tau
 

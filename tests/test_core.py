@@ -448,6 +448,24 @@ def test_relative_error_ratio_degenerate_flag():
     assert r.value == pytest.approx(la.svd(M, compute_uv=False)[0], rel=1e-12)
 
 
+def _reference_ratio(oracle, L):
+    """The ratio from a full SVD of M - L formed in long double and rounded
+    to float64, and the slack a float64 evaluation may add to it.
+
+    A product with the difference subtracts A (B x) from M x, each rounded
+    to about eps times ||M||_2 ||x|| or ||L||_2 ||x||, so the value can be
+    off by a few eps (||M||_2 + ||L||_2) however small ||M - L||_2 is; a
+    difference formed in float64 carries the same error in its entries.
+    """
+    M = oracle.M
+    exact = (M.astype(np.longdouble)
+             - L.A.astype(np.longdouble) @ L.B.astype(np.longdouble))
+    reference = la.svdvals(exact.astype(np.float64))[0] / oracle.tau
+    eps = np.finfo(np.float64).eps
+    slack = 4 * eps * (la.svdvals(M)[0] + la.svdvals(materialize(L))[0])
+    return reference, slack / oracle.tau
+
+
 @pytest.mark.parametrize("spectrum", [fast_decay_spectrum,
                                       slow_decay_spectrum])
 @pytest.mark.parametrize("multiplier", ["ahad", "gaussian"])
@@ -459,8 +477,10 @@ def test_ratio_oracle_agrees_with_full_svd(spectrum, multiplier):
 
     def checked(L):
         ratio = oracle(L)
-        dense = la.svdvals(M - materialize(L))[0] / oracle.tau
-        assert ratio == pytest.approx(dense, rel=1e-12, abs=0)
+        reference, slack = _reference_ratio(oracle, L)
+        assert ratio == pytest.approx(reference, rel=1e-12, abs=slack)
+        if reference > 1e-6:
+            assert ratio == pytest.approx(reference, rel=1e-12, abs=0)
         ratios.append(ratio)
         return ratio
 
@@ -489,11 +509,73 @@ def test_ratio_oracle_leaves_a_dense_approx_unchanged():
 
 
 def test_ratio_oracle_exact_difference_is_zero():
+    # M x and A (B x) round differently, so the difference of two equal
+    # matrices scores at rounding level, not exactly zero
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 5))
     B = rng.standard_normal((5, 30))
     oracle = RatioOracle(A @ B, 4)
-    assert oracle(Factored2(A, B)) == 0.0
+    eps = np.finfo(np.float64).eps
+    bound = eps * la.svdvals(A)[0] * la.svdvals(B)[0] / oracle.tau
+    assert 0.0 <= oracle(Factored2(A, B)) <= bound
+
+
+def test_ratio_oracle_call_allocates_no_dense_difference():
+    n = 1024
+    M = gen_synthetic(n, fast_decay_spectrum(n), seed=8)
+    oracle = RatioOracle(M, 20)
+    rng = np.random.default_rng(9)
+    L = Factored2(rng.standard_normal((n, 60)), rng.standard_normal((60, n)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        oracle(L)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes / 4
+
+
+@pytest.mark.parametrize("shape", [(300, 120), (120, 300)],
+                         ids=["tall", "wide"])
+def test_ratio_oracle_factored_shapes_agree_with_long_double(shape):
+    # the wide input takes spectral_norm's transposed operator
+    rng = np.random.default_rng(41)
+    m, n = shape
+    M = _decaying(m, n, 0.8, rng)
+    oracle = RatioOracle(M, 10)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    truncations = [Factored2(U[:, :k] * s[:k], Vt[:k]) for k in (12, 60)]
+    far = Factored2(rng.standard_normal((m, 7)), rng.standard_normal((7, n)))
+    for L in truncations + [far]:
+        reference, slack = _reference_ratio(oracle, L)
+        assert oracle(L) == pytest.approx(reference, rel=1e-12, abs=slack)
+
+
+def test_ratio_oracle_scores_a_topsvd_as_its_factored_form():
+    M = gen_synthetic(128, slow_decay_spectrum(128), seed=9)
+    oracle = RatioOracle(M, 10)
+    T = truncate_svd(M + 1e-3 * np.random.default_rng(6).standard_normal(
+        M.shape), 12)
+    assert oracle(T) == oracle(T.to_factored2())
+
+
+def test_ratio_oracle_of_the_zero_matrix():
+    # the first Lanczos step breaks down on the exactly zero difference
+    oracle = RatioOracle(np.zeros((12, 9)), 3)
+    assert oracle.degenerate
+    assert oracle(Factored2.zero(12, 9)) == 0.0
+
+
+@pytest.mark.parametrize("factor, bad", [("A", np.nan), ("A", np.inf),
+                                         ("B", -np.inf), ("B", np.nan)])
+def test_ratio_oracle_rejects_non_finite_factors(factor, bad):
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((30, 20))
+    L = Factored2(rng.standard_normal((30, 4)), rng.standard_normal((4, 20)))
+    getattr(L, factor)[2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        RatioOracle(M, 4)(L)
 
 
 @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
