@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sublra import MatrixMarketError, load_matrix, save_matrix
+from sublra import MatrixMarketError, load_matrix, mmio, save_matrix
 from sublra.core import PreconditionError, as_dense
 from sublra.mmio import MAX_ENTRIES, _non_ascii_error, _parse_header
 
@@ -363,7 +365,7 @@ ARRAY = "%%MatrixMarket matrix array real general\n"
 COORD = "%%MatrixMarket matrix coordinate real general\n"
 
 
-@pytest.mark.parametrize("text", [
+EDGE_FILES = [
     ARRAY + "2 2\n1.5\n\n% between\n  %also\n-0.0 3\n\n4e-320\n",
     ARRAY.replace("\n", "\r\n") + "2 1\r\n% c\r\n1\r\n\r\n2\r\n",
     COORD + "2 2 2\n% c\n1 2 1.5\n\n  % 1 1 9\n2 1 -0.0\n",
@@ -376,11 +378,15 @@ COORD = "%%MatrixMarket matrix coordinate real general\n"
     COORD + "2 2 1\n1 1 1.0 % c\n",
     COORD + "2 2 2\n1 1\n1.0 2 2 3.0\n",
     COORD + "2 2 2\n1 1 inf\n3 1 1.0\n",
-], ids=["array-comments-blanks", "array-crlf", "coordinate-comments",
-        "symmetric-array-negative-zero", "symmetric-coordinate-comment",
-        "index-past-int64", "index-below-int64", "array-percent-in-line",
-        "coordinate-percent-in-line", "coordinate-split-entry",
-        "range-before-non-finite"])
+]
+EDGE_IDS = ["array-comments-blanks", "array-crlf", "coordinate-comments",
+            "symmetric-array-negative-zero", "symmetric-coordinate-comment",
+            "index-past-int64", "index-below-int64", "array-percent-in-line",
+            "coordinate-percent-in-line", "coordinate-split-entry",
+            "range-before-non-finite"]
+
+
+@pytest.mark.parametrize("text", EDGE_FILES, ids=EDGE_IDS)
 def test_loader_matches_reference_on_edge_files(tmp_path, text):
     path = tmp_path / "m.mtx"
     path.write_bytes(text.encode("ascii"))
@@ -451,3 +457,170 @@ def test_token_soup_loads_or_raises_matrix_market_error(
         return
     assert M.shape == (m, n) and np.isfinite(M).all()
     assert M.tobytes() == reference_load_matrix(path).tobytes()
+
+
+@contextmanager
+def small_blocks(read, write=1):
+    """mmio reading ``read`` characters and writing ``write`` values a block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmio, "_READ_BLOCK", read)
+        patch.setattr(mmio, "_WRITE_BLOCK", write)
+        yield
+
+
+# files in which, at some small block size, a block boundary cuts each of
+# these: tokens, comment lines, '%' inside a data line, CRLF and lone '\r'
+# line ends, a missing final newline and a line longer than a block
+STRADDLE_FILES = [
+    ARRAY.replace("\n", "\r") + "2 1\r% c\r1\r\r2\r",
+    ARRAY.replace("\n", "\r\n") + "2 1\r1.0\r\n% c\r-2.5\n",
+    ARRAY + "2 2\n1.5 -2.5e-3\n% a comment line\n3.25 4e-320",
+    ARRAY + "1 6\n1.25 -2.5e-3 3 4.5e10 5 6.0625\n",
+    ARRAY + "3 1\n1.0\n2.0 % 3.0\n4.0\n",
+    ARRAY + "2 1\n1.0\n2.0 3.0",
+    ARRAY + "3 1\n1.0\nx\n2.0\n",
+    COORD.replace("\n", "\r\n") + "2 2 2\r\n1 2 1.5\r\n  % c\r\n2 1 -0.0",
+    COORD + "3 3 3\n1 2 1.5\n% 1 1 1\n3 3 7.25e-300 2 1\n",
+    COORD + "3 3 2\n3 3 -1e-300\n1 1 2.0e+300",
+    "%%MatrixMarket matrix array real symmetric\n3 3\n1 2 3 4 5 6\n",
+    ARRAY + "2 1\n1\n2\n  % an unterminated comment",
+    COORD + "2 2 99999999999999999\n1 1 1.0\n",
+    COORD + "1 2 3\n1 1 1.0\n1 2 2.0\n1 1 3.0\n",
+]
+STRADDLE_IDS = ["array-lone-cr", "array-mixed-line-ends",
+                "array-no-final-newline", "array-long-line",
+                "array-percent-mid-file", "array-extra-value-unterminated",
+                "array-bad-value", "coordinate-crlf-no-final-newline",
+                "coordinate-five-tokens", "coordinate-no-final-newline",
+                "symmetric-array-one-line", "unterminated-comment",
+                "coordinate-count-past-memory", "coordinate-count-past-size"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, mmio._READ_BLOCK])
+@pytest.mark.parametrize("text", EDGE_FILES + STRADDLE_FILES,
+                         ids=EDGE_IDS + STRADDLE_IDS)
+def test_loader_matches_reference_in_any_block_size(tmp_path, text, block):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        want = reference_load_matrix(path)
+    except MatrixMarketError as exc:
+        with small_blocks(block), pytest.raises(MatrixMarketError) as got:
+            load_matrix(path)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        with small_blocks(block):
+            assert load_matrix(path).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("raw", [
+    b"%%MatrixMarket matrix array real general\r\n% c\r\n\r\n% caf\xe9\r\n"
+    b"1 1\r\n0\r\n",
+    b"%%MatrixMarket matrix array real general\r% c\r\r1 1\r0\r\xff",
+    b"%%MatrixMarket matrix array real general\n1 1\r\n\r\n\r\x80\n",
+    b"%%NotMatrixMarket\n1 1\n0\n% \xc3\xa9\n",
+    b"%%MatrixMarket matrix array real general\n2 1\nx\n0\n\xe9",
+], ids=["crlf", "lone-cr", "mixed", "after-bad-header", "after-bad-value"])
+def test_non_ascii_byte_names_its_line_in_small_blocks(tmp_path, raw, block):
+    # the line is counted the way bytes.splitlines() counts it, and the
+    # byte is reported before any error that comes earlier in the file
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(raw)
+    pos = next(k for k, byte in enumerate(raw) if byte > 0x7f)
+    line = len((raw[:pos] + b".").splitlines())
+    with small_blocks(block), pytest.raises(MatrixMarketError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"line {line}: non-ASCII byte 0x{raw[pos]:02x}"
+    assert exc.value.line == line
+
+
+def test_token_soup_in_small_blocks(tmp_path_factory):
+    with small_blocks(5):
+        test_token_soup_loads_or_raises_matrix_market_error(tmp_path_factory)
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_writer_bytes_match_in_small_blocks(tmp_path_factory, fmt):
+    with small_blocks(5, write=3):
+        test_writer_bytes_match_per_value_reference(tmp_path_factory, fmt=fmt)
+
+
+def test_round_trips_in_small_blocks(tmp_path_factory):
+    with small_blocks(5, write=3):
+        test_array_format_round_trips_bit_for_bit(tmp_path_factory)
+        test_coordinate_format_round_trips_values(tmp_path_factory)
+
+
+def test_non_ascii_comment_leaves_no_file(tmp_path):
+    path = tmp_path / "m.mtx"
+    with pytest.raises(PreconditionError, match="comment must be ASCII"):
+        save_matrix(np.eye(2), path, comment="caf\u00e9")
+    assert not path.exists()
+    save_matrix(np.eye(2), path, comment="kept")
+    kept = path.read_bytes()
+    with pytest.raises(PreconditionError, match="comment must be ASCII"):
+        save_matrix(np.ones((3, 3)), path, fmt="coordinate",
+                    comment="first line\nna\u00efve")
+    assert path.read_bytes() == kept
+
+
+def _peak_alloc(call):
+    """Peak bytes tracemalloc sees ``call()`` allocate."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# A read block of c characters holds at most about 12c bytes: the text read,
+# the block cut from it, and a str and a float per token of 20 or more
+# characters.  A write block of v values holds at most about 96v bytes: a
+# float, a tuple slot and about 25 formatted characters per value.
+READ_BLOCK_BYTES = 12 * mmio._READ_BLOCK
+WRITE_BLOCK_BYTES = 96 * mmio._WRITE_BLOCK
+
+
+def test_array_round_trip_allocates_the_matrix_and_a_block(tmp_path):
+    M = np.random.default_rng(61).standard_normal((1024, 64))
+    path = tmp_path / "panel.mtx"
+
+    def round_trip():
+        save_matrix(M, path)
+        assert load_matrix(path).tobytes() == M.tobytes()
+
+    peak = _peak_alloc(round_trip)
+    assert peak < M.nbytes + READ_BLOCK_BYTES + WRITE_BLOCK_BYTES
+
+
+def test_symmetric_array_load_allocates_the_matrix_and_a_block(tmp_path):
+    m = 512
+    rng = np.random.default_rng(62)
+    S = rng.standard_normal((m, m))
+    S = S + S.T
+    path = tmp_path / "sym.mtx"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"%%MatrixMarket matrix array real symmetric\n{m} {m}\n")
+        for j in range(m):
+            fh.writelines(f"{v:.17g}\n" for v in S[j:, j].tolist())
+    loaded = []
+    peak = _peak_alloc(lambda: loaded.append(load_matrix(path)))
+    assert loaded[0].tobytes() == S.tobytes()
+    assert peak < S.nbytes + READ_BLOCK_BYTES
+
+
+def test_coordinate_load_allocates_the_matrix_entries_and_a_block(tmp_path):
+    rng = np.random.default_rng(63)
+    M = np.zeros((512, 512))
+    nnz = 1 << 15
+    M.flat[rng.choice(M.size, nnz, replace=False)] = rng.standard_normal(nnz)
+    path = tmp_path / "coo.mtx"
+    save_matrix(M, path, fmt="coordinate")
+    loaded = []
+    peak = _peak_alloc(lambda: loaded.append(load_matrix(path)))
+    assert loaded[0].tobytes() == M.tobytes()
+    # the rows, columns and values, and the keys the repeat check sorts
+    assert peak < M.nbytes + 64 * nnz + READ_BLOCK_BYTES
